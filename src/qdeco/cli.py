@@ -47,7 +47,7 @@ from .lattice_qed import (
     physical_subspace,
     superselection_report,
     total_charge_diagonal,
-    wilson_line,
+    _wilson_map,
 )
 from .units import si_efield_v_per_cm, si_time_s, si_volume_cm3
 
@@ -139,16 +139,22 @@ class Param:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p != ""]
+        values = [float(p) for p in text.split(",") if p != ""]
     except ValueError as exc:
         raise UsageError(f"expected comma-separated floats, got {text!r}") from exc
+    if not all(math.isfinite(x) for x in values):
+        raise UsageError(f"expected comma-separated finite floats, got {text!r}")
+    return values
 
 
 def _float_value(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise UsageError(f"expected a float, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"expected a finite float, got {text!r}")
+    return value
 
 
 def _int_value(text: str) -> int:
@@ -400,10 +406,10 @@ def _run_lattice_superselect(v: dict):
         lo = _uniform_sector_state(subspace, decomp.sectors[q_lo])
         hi = _uniform_sector_state(subspace, decomp.sectors[q_hi])
         for x in range(1, spec.sites + 1):
-            w = wilson_line(spec, x)
-            wilson_cross = max(
-                wilson_cross, abs(np.vdot(hi.amplitudes, w.entries @ lo.amplitudes))
-            )
+            src, dst = _wilson_map(spec, x)
+            image = np.zeros_like(lo.amplitudes)
+            image[dst] = lo.amplitudes[src]
+            wilson_cross = max(wilson_cross, abs(np.vdot(hi.amplitudes, image)))
 
     outputs = {
         "physical_dim": subspace.dim,

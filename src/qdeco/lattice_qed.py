@@ -10,12 +10,23 @@ The per-site divergence constraints are diagonal in the configuration basis,
 so the physical subspace is found by exhaustive enumeration, and all gauge
 identities hold to machine precision.  Operators on spaces beyond the dense
 bound are handled through their diagonals.
+
+Gauge-invariant operators on an interior are worked out from their supports.
+Splitting every configuration into an interior part a and an exterior part e,
+a matrix unit |(a, e)><(b, e)| commutes with all constraints exactly when the
+two configurations agree in every divergence eigenvalue.  Summed over e, these
+units have pairwise disjoint supports, so the commutant is spanned by the
+projectors P_a and the Hermitized units of each pair a < b with at least one
+agreeing e, and no dense orthonormalization is needed.  The superselection
+report evaluates that basis on index tables, and the string operator is an
+index map, so neither builds a flat_dim x flat_dim matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Collection
 
 import numpy as np
@@ -50,6 +61,7 @@ ENUMERATION_LIMIT = 20000
 DENSE_OPERATOR_LIMIT = 2048
 CROSS_ELEMENT_TOL = 1e-12
 _SUPPORT_TOL = 1e-12
+_PAIR_BLOCK = 1 << 22  # (a, b, e) comparisons per block of _kept_pairs
 
 FactorLabel = tuple[str, int]
 
@@ -203,13 +215,18 @@ class PhysicalSubspace:
         return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
 
 
-def physical_subspace(spec: LatticeSpec) -> PhysicalSubspace:
-    """Brute-force filter of the configuration basis by all constraints."""
-    charges, fields = _config_arrays(spec)
+def _divergences(spec: LatticeSpec, charges: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """E_x - E_{x-1} - q_x per configuration and site (E_0 = left field), shape (flat_dim, N)."""
     left = np.concatenate(
         [np.full((spec.flat_dim, 1), spec.left_field), fields[:, :-1]], axis=1
     )
-    ok = np.all(fields - left - charges == 0, axis=1)
+    return fields - left - charges
+
+
+def physical_subspace(spec: LatticeSpec) -> PhysicalSubspace:
+    """Brute-force filter of the configuration basis by all constraints."""
+    charges, fields = _config_arrays(spec)
+    ok = np.all(_divergences(spec, charges, fields) == 0, axis=1)
     basis = np.nonzero(ok)[0]
     table = np.concatenate([charges[basis], fields[basis]], axis=1)
     return PhysicalSubspace(spec, basis, table)
@@ -300,31 +317,42 @@ def total_charge(spec: LatticeSpec) -> Operator:
     return _diag_operator(spec, total_charge_diagonal(spec))
 
 
+def _wilson_map(spec: LatticeSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The string operator from site x as a map of flat indices ``src -> dst``.
+
+    The string raises q_x and the fields E_x..E_N by one, which shifts the flat
+    index by the layout strides of those factors.  Configurations at the
+    truncation edge (q_x = +1 or some E_y = e_max on the string) have no image
+    and are left out of ``src``; ``src`` is ascending.
+    """
+    spec._check_site(x)
+    dims = spec.layout.dims
+    strides = np.cumprod((1,) + dims[:0:-1])[::-1]
+    raised = [spec.site_factor(x)] + [spec.link_factor(y) for y in range(x, spec.sites + 1)]
+    ranges = [
+        np.arange(d - 1 if f in raised else d) * stride
+        for f, (d, stride) in enumerate(zip(dims, strides))
+    ]
+    src = reduce(np.add.outer, ranges).ravel()
+    return src, src + strides[raised].sum()
+
+
 def wilson_line(spec: LatticeSpec, x: int) -> Operator:
     """String operator from site x to the right boundary.
 
     Raises q_x by one and every link field on the string (links x..N) by one;
     matrix elements leaving the truncated ranges are dropped, so states at the
-    truncation edge are annihilated.
+    truncation edge are annihilated.  Without the dense matrix, apply
+    :func:`_wilson_map` to the amplitudes instead.
     """
     spec._check_site(x)
-    charges, fields = _config_arrays(spec)
     dim = spec.flat_dim
     if dim > DENSE_OPERATOR_LIMIT:
         raise ValueError(f"flat dimension {dim} exceeds dense bound {DENSE_OPERATOR_LIMIT}")
-
+    src, dst = _wilson_map(spec, x)
     entries = np.zeros((dim, dim), dtype=np.complex128)
-    layout = spec.layout
-    n = spec.sites
-    for i in range(dim):
-        if charges[i, x - 1] == 1 or np.any(fields[i, x - 1 :] == spec.e_max):
-            continue
-        multi = list(layout.multi_index(i))
-        multi[x - 1] += 1  # charge factor
-        for link in range(x, n + 1):
-            multi[n + link - 1] += 1  # field factors on the string
-        entries[layout.flat_index(multi), i] = 1.0
-    return Operator(layout, entries)
+    entries[dst, src] = 1.0
+    return Operator(spec.layout, entries)
 
 
 def maximal_interior(spec: LatticeSpec) -> frozenset[FactorLabel]:
@@ -353,77 +381,130 @@ def _interior_factors(
     return sorted(set(factors))
 
 
-def _commutant_basis(spec: LatticeSpec, factors: list[int]) -> list[Operator]:
-    """Hermitian operators supported on the given factors commuting with all constraints.
+def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and packed constraint eigenvalues, split by the given support.
 
-    Every elementary matrix unit on the support (identity elsewhere) is
-    projected onto the joint commutant of the divergence constraints: entries
-    connecting configurations with different constraint eigenvalues are zeroed.
-    Surviving candidates are Hermitized, orthonormalized (Hilbert-Schmidt) by
-    modified Gram-Schmidt, and zero remainders discarded.  The normalized
-    identity is seeded first so it always appears in the list.
+    Returns ``position`` and ``code``, both of shape (d_int, d_ext):
+    ``position[a, e]`` is the flat index of interior configuration a (over the
+    given factors) joined to exterior configuration e (over the others), and
+    ``code[a, e]`` packs the N divergence eigenvalues of that configuration into
+    one integer, so two configurations agree in every constraint exactly when
+    their codes are equal.
+    """
+    charges, fields = _config_arrays(spec)
+    dims = spec.layout.dims
+    exterior = [f for f in range(len(dims)) if f not in factors]
+    multi = np.concatenate([charges + 1, fields + spec.e_max], axis=1)
+    int_dims = [dims[f] for f in factors]
+    ext_dims = [dims[f] for f in exterior]
+    int_code = np.ravel_multi_index(multi[:, factors].T, int_dims)
+    ext_code = (
+        np.ravel_multi_index(multi[:, exterior].T, ext_dims)
+        if exterior
+        else np.zeros(spec.flat_dim, dtype=np.int64)
+    )
+    position = np.empty((math.prod(int_dims), math.prod(ext_dims)), dtype=np.int64)
+    position[int_code, ext_code] = np.arange(spec.flat_dim)
+
+    reach = 2 * spec.e_max + 1  # |E_x - E_{x-1} - q_x| <= 2 e_max + 1
+    shifted = _divergences(spec, charges, fields) + reach
+    code = np.ravel_multi_index(shifted.T, (2 * reach + 1,) * spec.sites)
+    return position, code[position]
+
+
+def _kept_pairs(code: np.ndarray):
+    """Interior pairs a < b joined at one or more exterior configurations, in blocks.
+
+    Yields ``(a, b, keep)``: the pair indices, ascending, and per pair a mask
+    over exterior configurations e at which (a, e) and (b, e) agree in every
+    constraint eigenvalue.  The matrix unit of the pair is the sum of
+    |(a, e)><(b, e)| over the kept e.  Each block compares at most
+    ``_PAIR_BLOCK`` (a, b, e) triples.
+    """
+    d_int, d_ext = code.shape
+    rows = max(1, _PAIR_BLOCK // (d_int * d_ext))
+    for lo in range(0, d_int - 1, rows):
+        hi = min(lo + rows, d_int - 1)
+        agree = code[lo:hi, None, :] == code[None, lo + 1 :, :]
+        # row i is a = lo + i and column j is b = lo + 1 + j: b > a is j >= i
+        a, b = np.nonzero(np.triu(agree.any(axis=2)))
+        yield a + lo, b + lo + 1, agree[a, b]
+
+
+def _pair_elements(a, b, keep, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x|O|y> for the normalized (U + U^dag) and i (U - U^dag) of each pair, interleaved.
+
+    ``x`` and ``y`` are amplitudes gathered by ``position``; U is the matrix
+    unit of the pair on its kept exterior configurations.
+    """
+    fwd = np.einsum("pe,pe,pe->p", keep, x[a].conj(), y[b])  # <x|U|y>
+    back = np.einsum("pe,pe,pe->p", keep, x[b].conj(), y[a])  # <x|U^dag|y>
+    norm = np.sqrt(2.0 * keep.sum(axis=1))
+    return (np.column_stack([fwd + back, 1j * (fwd - back)]) / norm[:, None]).ravel()
+
+
+def _basis_blocks(position: np.ndarray, code: np.ndarray):
+    """The support basis in blocks, each a function (x, y) -> <x|O|y> per operator.
+
+    The first block holds the d_int projectors P_a (identity on the exterior),
+    the others both Hermitized forms of each kept pair; every operator has unit
+    Hilbert-Schmidt norm.  The supports are pairwise disjoint, so the operators
+    are orthogonal apart from the projectors, which sum to the identity.
+    """
+    d_ext = position.shape[1]
+    yield lambda x, y: np.sum(x.conj() * y, axis=1) / math.sqrt(d_ext)
+    for a, b, keep in _kept_pairs(code):
+        yield partial(_pair_elements, a, b, keep)
+
+
+def _commutant_basis(spec: LatticeSpec, factors: list[int]) -> list[Operator]:
+    """Orthonormal Hermitian operators on the given factors commuting with all constraints.
+
+    The operators are read off the support table.  A matrix unit joining
+    interior configurations a and b at one exterior configuration commutes
+    with every constraint exactly when the two configurations agree in all
+    constraint eigenvalues.  Off the diagonal, each pair a < b with at least
+    one such exterior configuration gives (U + U^dag) and i (U - U^dag), with
+    supports disjoint from all others.  On the diagonal, the projectors P_a are
+    orthonormalized in a-space with the identity first; the last one is left
+    out, since the identity is their sum.
     """
     dim = spec.flat_dim
     if dim > DENSE_OPERATOR_LIMIT:
         raise ValueError(f"flat dimension {dim} exceeds dense bound {DENSE_OPERATOR_LIMIT}")
-    dims = spec.layout.dims
-    n_factors = len(dims)
-    exterior = [f for f in range(n_factors) if f not in factors]
+    position, code = _support_table(spec, factors)
+    d_int, d_ext = position.shape
 
-    # Group each flat index by (interior config, exterior config).
-    idx = np.unravel_index(np.arange(dim), dims)
-    int_dims = [dims[f] for f in factors]
-    ext_dims = [dims[f] for f in exterior]
-    d_int = int(np.prod(int_dims))
-    d_ext = int(np.prod(ext_dims)) if exterior else 1
-    int_code = np.zeros(dim, dtype=np.int64)
-    for f, d in zip(factors, int_dims):
-        int_code = int_code * d + idx[f]
-    ext_code = np.zeros(dim, dtype=np.int64)
-    for f, d in zip(exterior, ext_dims):
-        ext_code = ext_code * d + idx[f]
-    # flat index of (a, e) pair
-    position = np.empty((d_int, d_ext), dtype=np.int64)
-    position[int_code, ext_code] = np.arange(dim)
+    seeds = np.concatenate([np.ones((d_int, 1)), np.eye(d_int)[:, :-1]], axis=1)
+    q, r = np.linalg.qr(seeds)
+    q *= np.sign(np.diag(r))  # the Gram-Schmidt signs: identity first, positive
+    ops = []
+    for column in q.T:
+        diag = np.empty(dim)
+        diag[position] = column[:, None] / math.sqrt(d_ext)
+        ops.append(Operator(spec.layout, np.diag(diag)))
 
-    gauss = np.stack([gauss_diagonal(spec, x) for x in range(1, spec.sites + 1)], axis=1)
-
-    candidates: list[np.ndarray] = []
-    candidates.append(np.eye(dim, dtype=np.complex128))
-    for a in range(d_int):
-        rows = position[a]
-        for b in range(a, d_int):
-            cols = position[b]
-            keep = np.all(gauss[rows] == gauss[cols], axis=1)
-            if not np.any(keep):
-                continue
-            unit = np.zeros((dim, dim), dtype=np.complex128)
-            unit[rows[keep], cols[keep]] = 1.0
-            if a == b:
-                candidates.append(unit)
-            else:
-                candidates.append(unit + unit.conj().T)
-                candidates.append(1j * (unit - unit.conj().T))
-
-    # Modified Gram-Schmidt in the Hilbert-Schmidt inner product.
-    basis: list[np.ndarray] = []
-    for cand in candidates:
-        vec = cand.ravel()
-        for prev in basis:
-            vec = vec - np.vdot(prev, vec) * prev
-        norm = np.linalg.norm(vec)
-        if norm > 1e-12:
-            basis.append(vec / norm)
-    return [Operator(spec.layout, b.reshape(dim, dim)) for b in basis]
+    for a, b, keep in _kept_pairs(code):
+        for i, j, k in zip(a, b, keep):
+            rows, cols = position[i, k], position[j, k]
+            scale = 1.0 / math.sqrt(2.0 * len(rows))
+            for phase in (1.0, 1j):
+                entries = np.zeros((dim, dim), dtype=np.complex128)
+                entries[rows, cols] = phase * scale
+                entries[cols, rows] = np.conj(phase) * scale
+                ops.append(Operator(spec.layout, entries))
+    return ops
 
 
 def gauge_invariant_local_basis(
     spec: LatticeSpec, interior: Collection[FactorLabel]
 ) -> list[Operator]:
-    """Spanning set of Hermitian constraint-commuting operators on the interior.
+    """Orthonormal Hermitian constraint-commuting operators on the interior.
 
     The interior is a set of ("site", x) / ("link", x) labels and must exclude
-    the boundary link; see :func:`maximal_interior`.
+    the boundary link; see :func:`maximal_interior`.  The identity comes
+    first.  Dense, so bounded by ``DENSE_OPERATOR_LIMIT``;
+    :func:`superselection_report` works from the supports instead.
     """
     factors = _interior_factors(spec, interior, allow_boundary=False)
     return _commutant_basis(spec, factors)
@@ -493,6 +574,11 @@ def superselection_report(
     the even mixture.  With ``include_boundary_link`` the operator basis is
     extended to the boundary link, which admits string operators that connect
     the sectors; this is the contrast case, not a locality statement.
+
+    The basis is that of :func:`gauge_invariant_local_basis` with the d_int
+    projectors P_a in place of their orthonormalized combinations (the same
+    span and count), each normalized; its matrix elements are computed from
+    the support table in blocks, without dense matrices.
     """
     subspace = physical_subspace(spec)
     decomp = charge_sectors(subspace)
@@ -500,33 +586,33 @@ def superselection_report(
     sector_minus = _sector_of(decomp, psi_minus)
     same_sector = sector_plus == sector_minus
 
+    interior = set(maximal_interior(spec))
     if include_boundary_link:
-        interior = set(maximal_interior(spec)) | {("link", spec.sites)}
-        factors = _interior_factors(spec, interior, allow_boundary=True)
-        ops = _commutant_basis(spec, factors)
-    else:
-        ops = gauge_invariant_local_basis(spec, maximal_interior(spec))
+        interior.add(("link", spec.sites))
+    factors = _interior_factors(spec, interior, allow_boundary=include_boundary_link)
+    position, code = _support_table(spec, factors)
 
-    plus = psi_plus.amplitudes
-    minus = psi_minus.amplitudes
+    plus = psi_plus.amplitudes[position]
+    minus = psi_minus.amplitudes[position]
     superpos = (plus + minus) / math.sqrt(2.0)
+    n_operators = 0
     max_cross = 0.0
     max_diff = 0.0
-    for op in ops:
-        m = op.entries
-        cross = abs(np.vdot(plus, m @ minus))
-        max_cross = max(max_cross, cross)
-        exp_sup = np.vdot(superpos, m @ superpos).real
-        exp_mix = 0.5 * (np.vdot(plus, m @ plus).real + np.vdot(minus, m @ minus).real)
-        max_diff = max(max_diff, abs(exp_sup - exp_mix))
+    for elements in _basis_blocks(position, code):
+        cross = np.abs(elements(plus, minus))
+        exp_sup = elements(superpos, superpos).real
+        exp_mix = 0.5 * (elements(plus, plus).real + elements(minus, minus).real)
+        n_operators += len(cross)
+        max_cross = max(max_cross, float(np.max(cross, initial=0.0)))
+        max_diff = max(max_diff, float(np.max(np.abs(exp_sup - exp_mix), initial=0.0)))
 
     return SuperselectionReport(
         physical_dim=subspace.dim,
         sector_plus=sector_plus,
         sector_minus=sector_minus,
-        n_operators=len(ops),
-        max_cross=float(max_cross),
-        max_expectation_diff=float(max_diff),
+        n_operators=n_operators,
+        max_cross=max_cross,
+        max_expectation_diff=max_diff,
         same_sector=same_sector,
         includes_boundary_link=include_boundary_link,
     )

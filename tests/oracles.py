@@ -114,3 +114,85 @@ def evolve_dephasing(couplings, weights, t: float) -> np.ndarray:
 def reduced_qubit(psi: np.ndarray) -> np.ndarray:
     m = psi.reshape(2, -1)
     return m @ m.conj().T
+
+
+def lattice_configurations(sites: int, e_max: int) -> list[tuple[int, ...]]:
+    """All (q_1..q_N, E_1..E_N) tuples, charges slowest, in flat-index order."""
+    ranges = [range(-1, 2)] * sites + [range(-e_max, e_max + 1)] * sites
+    return list(itertools.product(*ranges))
+
+
+def brute_gauss_eigenvalues(config, sites: int, left_field: int) -> tuple[int, ...]:
+    """The divergences E_x - E_{x-1} - q_x of one configuration, site by site."""
+    out = []
+    left = left_field
+    for q, e in zip(config[:sites], config[sites:]):
+        out.append(e - left - q)
+        left = e
+    return tuple(out)
+
+
+def brute_commutant_basis(sites: int, e_max: int, left_field: int, factors) -> list[np.ndarray]:
+    """Dense Hermitian constraint-commuting operators on the given tuple positions.
+
+    ``factors`` index the configuration tuple (0..N-1 charges, N..2N-1 links).
+    Every matrix unit joining two interior values at one exterior value,
+    zeroed where the constraint eigenvalues differ, is Hermitized; the
+    candidates, seeded with the identity, are orthonormalized by modified
+    Gram-Schmidt and zero remainders discarded.
+    """
+    configs = lattice_configurations(sites, e_max)
+    dim = len(configs)
+    gauss = [brute_gauss_eigenvalues(c, sites, left_field) for c in configs]
+    exterior = [f for f in range(2 * sites) if f not in factors]
+    groups: dict[tuple, dict[tuple, int]] = {}
+    for i, c in enumerate(configs):
+        inner = tuple(c[f] for f in factors)
+        outer = tuple(c[f] for f in exterior)
+        groups.setdefault(inner, {})[outer] = i
+    interiors = sorted(groups)
+
+    candidates = [np.eye(dim, dtype=np.complex128)]
+    for k, a in enumerate(interiors):
+        for b in interiors[k:]:
+            entries = [
+                (i, groups[b][e]) for e, i in groups[a].items() if gauss[i] == gauss[groups[b][e]]
+            ]
+            if not entries:
+                continue
+            unit = np.zeros((dim, dim), dtype=np.complex128)
+            for i, j in entries:
+                unit[i, j] = 1.0
+            if a == b:
+                candidates.append(unit)
+            else:
+                candidates.append(unit + unit.conj().T)
+                candidates.append(1j * (unit - unit.conj().T))
+
+    basis: list[np.ndarray] = []
+    for cand in candidates:
+        vec = cand.ravel()
+        for prev in basis:
+            overlap = np.vdot(prev, vec)
+            if overlap != 0:  # skipping a zero projection changes nothing
+                vec = vec - overlap * prev
+        norm = np.linalg.norm(vec)
+        if norm > 1e-12:
+            basis.append(vec / norm)
+    return [b.reshape(dim, dim) for b in basis]
+
+
+def brute_wilson_line(sites: int, e_max: int, x: int) -> np.ndarray:
+    """Dense string operator from site x: raise q_x and E_x..E_N, drop what leaves the range."""
+    configs = lattice_configurations(sites, e_max)
+    index = {c: i for i, c in enumerate(configs)}
+    out = np.zeros((len(configs), len(configs)), dtype=np.complex128)
+    for i, c in enumerate(configs):
+        raised = list(c)
+        raised[x - 1] += 1
+        for link in range(x, sites + 1):
+            raised[sites + link - 1] += 1
+        j = index.get(tuple(raised))
+        if j is not None:
+            out[j, i] = 1.0
+    return out

@@ -7,6 +7,8 @@ import pytest
 
 from qdeco.cli import emit_sweep, run
 
+from oracles import brute_force_gauss_kernel
+
 
 def run_capture(capsys, argv):
     code = run(argv)
@@ -76,6 +78,29 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["outputs"]["length_cm"] == 0.1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "coherence-length", "--efield-v-per-cm", "inf"],
+            ["field", "factor", "--volume-cm3", "1", "--efield-v-per-cm=-inf"],
+            ["field", "validity-time", "--efield-v-per-cm", "nan"],
+            ["thermal", "length", "--time-s", "inf"],
+            ["thermal", "length", "--time-s", "1", "--lambda-cm2s", "nan"],
+            ["tripartite", "--coeffs", "0.6,0.8", "--env-overlap", "nan"],
+            ["tripartite", "--coeffs", "0.6,inf", "--env-overlap", "0.2"],
+            ["dephasing", "--spins", "2", "--coupling", "1,nan", "--t-max", "1",
+             "--steps", "3"],
+            ["dephasing", "--spins", "1", "--coupling", "1", "--t-max", "inf",
+             "--steps", "3"],
+        ],
+    )
+    def test_non_finite_float_is_usage_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "finite" in err
+
 
 class TestReports:
     def test_coherence_length_report(self, capsys):
@@ -101,6 +126,26 @@ class TestReports:
         assert report["outputs"]["max_cross"] <= 1e-12
         assert report["outputs"]["sectors"] == {"-1": 2, "0": 3, "1": 2}
         assert report["outputs"]["wilson_contrast_cross"] > 0.1
+
+    def test_superselect_beyond_the_dense_bound(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["lattice", "superselect", "--sites", "3", "--emax", "1",
+                     "--left-field", "0"]
+        )
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        assert outputs["max_cross"] <= 1e-12
+        assert outputs["physical_dim"] == len(brute_force_gauss_kernel(3, 1, 0))
+        assert outputs["wilson_contrast_cross"] > 0
+
+    def test_superselect_beyond_the_enumeration_bound(self, capsys):
+        code, out, err = run_capture(
+            capsys, ["lattice", "superselect", "--sites", "4", "--emax", "2",
+                     "--left-field", "0"]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
 
     def test_identity_check_report(self, capsys):
         code, out, _ = run_capture(

@@ -24,9 +24,11 @@ from qdeco.lattice_qed import (
     total_charge_diagonal,
     wilson_line,
 )
+import qdeco.lattice_qed as lattice_qed
+from qdeco.lattice_qed import _basis_blocks, _commutant_basis, _kept_pairs, _support_table, _wilson_map
 
 
-from oracles import brute_force_gauss_kernel
+from oracles import brute_commutant_basis, brute_force_gauss_kernel, brute_wilson_line
 
 
 def random_gauge(rng, sites) -> GaugeFunction:
@@ -503,3 +505,113 @@ class TestInteriorExpectations:
                 before = np.vdot(superpos.amplitudes, op.entries @ superpos.amplitudes).real
                 after = np.vdot(phased.amplitudes, op.entries @ phased.amplitudes).real
                 assert abs(before - after) <= 1e-12
+
+
+def random_sector_state(rng, subspace, decomp, charge) -> StateVector:
+    """Normalized random superposition of the physical states of one sector."""
+    coords = np.zeros(subspace.dim, dtype=complex)
+    slots = np.searchsorted(subspace.basis, decomp.sectors[charge])
+    coords[slots] = rng.normal(size=len(slots)) + 1j * rng.normal(size=len(slots))
+    return subspace.embed(coords / np.linalg.norm(coords))
+
+
+def dense_report(ops, plus, minus) -> tuple[float, float]:
+    """Largest |<+|O|->| and superposition-minus-mixture gap over dense operators."""
+    superpos = (plus + minus) / math.sqrt(2.0)
+    cross = diff = 0.0
+    for m in ops:
+        cross = max(cross, abs(np.vdot(plus, m @ minus)))
+        exp_sup = np.vdot(superpos, m @ superpos).real
+        exp_mix = 0.5 * (np.vdot(plus, m @ plus).real + np.vdot(minus, m @ minus).real)
+        diff = max(diff, abs(exp_sup - exp_mix))
+    return cross, diff
+
+
+class TestSupportFormParity:
+    """The support-table commutant and string map against dense brute-force oracles."""
+
+    @pytest.mark.parametrize(
+        "sites,e_max,boundary",
+        [(1, 1, False), (1, 3, False), (2, 1, False), (2, 2, False), (1, 1, True), (2, 1, True)],
+    )
+    def test_commutant_matches_gram_schmidt(self, sites, e_max, boundary):
+        spec = LatticeSpec(sites=sites, e_max=e_max)
+        factors = list(range(2 * sites if boundary else 2 * sites - 1))
+        ref = brute_commutant_basis(sites, e_max, 0, factors)
+        if boundary:
+            ops = [op.entries for op in _commutant_basis(spec, factors)]
+        else:
+            ops = [op.entries for op in gauge_invariant_local_basis(spec, maximal_interior(spec))]
+        assert len(ops) == len(ref)
+        stacked = np.stack([m.ravel() for m in ops + ref])
+        gram = stacked.conj() @ stacked.T  # same rank as the stack, and small
+        assert np.linalg.matrix_rank(gram, hermitian=True) == len(ref)
+
+        sub = physical_subspace(spec)
+        decomp = charge_sectors(sub)
+        rng = np.random.default_rng(7 * sites + e_max)
+        plus = random_sector_state(rng, sub, decomp, 1)
+        minus = random_sector_state(rng, sub, decomp, -1)
+        report = superselection_report(spec, plus, minus, include_boundary_link=boundary)
+        assert report.n_operators == len(ref)
+        ref_cross, ref_diff = dense_report(ref, plus.amplitudes, minus.amplitudes)
+        values = (report.max_cross, report.max_expectation_diff, ref_cross, ref_diff)
+        if boundary:
+            # the diagonal operators of either basis give zero across sectors,
+            # and the off-diagonal ones are the same operators
+            assert min(values) > 0.1
+            assert report.max_cross == pytest.approx(ref_cross, rel=1e-12)
+            assert report.max_expectation_diff == pytest.approx(ref_diff, rel=1e-12)
+        else:
+            assert max(values) <= 1e-12
+
+    @pytest.mark.parametrize("factors", [[0, 1, 2], [0, 2, 3], [1, 3]])
+    def test_report_elements_match_dense_operators(self, factors):
+        spec = LatticeSpec(sites=2, e_max=1, left_field=1)
+        position, code = _support_table(spec, factors)
+        d_int, d_ext = position.shape
+        rng = np.random.default_rng(len(factors))
+        x, y = (rng.normal(size=spec.flat_dim) + 1j * rng.normal(size=spec.flat_dim)
+                for _ in range(2))
+        blocks = [block(x[position], y[position]) for block in _basis_blocks(position, code)]
+
+        projectors = np.zeros((d_int, spec.flat_dim))
+        projectors[np.arange(d_int)[:, None], position] = 1.0 / math.sqrt(d_ext)
+        np.testing.assert_allclose(blocks[0], projectors @ (x.conj() * y), atol=1e-13)
+
+        dense = _commutant_basis(spec, factors)[d_int:]
+        expected = [np.vdot(x, op.entries @ y) for op in dense]
+        np.testing.assert_allclose(np.concatenate(blocks[1:]), expected, atol=1e-13)
+
+    def test_pair_blocks_do_not_change_the_pairs(self, monkeypatch):
+        spec = LatticeSpec(sites=2, e_max=2)
+        _, code = _support_table(spec, [0, 1, 2])
+        whole = [np.concatenate(parts) for parts in zip(*_kept_pairs(code))]
+        monkeypatch.setattr(lattice_qed, "_PAIR_BLOCK", 7 * code.shape[1])
+        blocks = list(_kept_pairs(code))
+        assert len(blocks) > 1
+        for got, want in zip(zip(*blocks), whole):
+            np.testing.assert_array_equal(np.concatenate(got), want)
+
+    @pytest.mark.parametrize("sites,e_max", [(1, 1), (2, 1), (2, 2), (3, 1)])
+    def test_wilson_map_matches_loop(self, sites, e_max):
+        spec = LatticeSpec(sites=sites, e_max=e_max)
+        for x in range(1, sites + 1):
+            ref = brute_wilson_line(sites, e_max, x)
+            src, dst = _wilson_map(spec, x)
+            dense = np.zeros_like(ref)
+            dense[dst, src] = 1.0
+            np.testing.assert_array_equal(dense, ref)
+            np.testing.assert_array_equal(wilson_line(spec, x).entries, ref)
+
+    def test_wilson_map_skips_only_the_truncation_edge(self):
+        spec = LatticeSpec(sites=4, e_max=1)  # beyond the dense bound
+        table = enumerate_basis(spec)
+        src, dst = _wilson_map(spec, 2)
+        assert np.all(np.diff(src) > 0)
+        raised = table[src].copy()
+        raised[:, 1] += 1
+        raised[:, 5:] += 1
+        np.testing.assert_array_equal(table[dst], raised)
+        at_edge = (table[:, 1] == 1) | np.any(table[:, 5:] == 1, axis=1)
+        assert len(src) == np.count_nonzero(~at_edge)
