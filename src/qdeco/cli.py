@@ -4,7 +4,8 @@ Every numeric output is produced by exactly one library call; the CLI only
 tags units, assembles the report, and serializes it with stable key order and
 12-significant-digit floats, so identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 validation failure (bad physics input), 2 usage error.
+Exit codes: 0 success, 1 validation failure (bad physics input) or out of
+memory, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -240,6 +242,12 @@ COMMANDS: dict[tuple[str, ...], dict] = {
 }
 
 
+# A value such as -1e7 or -0.6,0.8 after a flag is a negative number, not a
+# flag; argparse's own pattern knows only the forms -1 and -1.5.
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(?:,[-+]?{_NUMBER})*$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdeco",
@@ -257,6 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     dest="_cmd1", required=True, metavar="subcommand"
                 )
             leaf = groups[key[0]].add_parser(key[1], help=info["help"])
+        leaf._negative_number_matcher = _NEGATIVE_NUMBER
         for p in info["params"]:
             leaf.add_argument(p.flag, dest=p.dest, default=None, help=p.help)
         leaf.add_argument("--out", dest="_out", default=None, help="write report to file")
@@ -582,6 +591,10 @@ def run(argv: list[str]) -> int:
         return 2
     except ValueError as exc:
         print(f"qdeco: validation error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"qdeco: error: out of memory{detail}", file=sys.stderr)
         return 1
 
     if args._out is not None:

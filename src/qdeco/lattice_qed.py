@@ -8,8 +8,12 @@ boundary flux, E_N minus the left value.
 
 The per-site divergence constraints are diagonal in the configuration basis,
 so the physical subspace is found by exhaustive enumeration, and all gauge
-identities hold to machine precision.  Operators on spaces beyond the dense
-bound are handled through their diagonals.
+identities hold to machine precision.  Diagonal operators (constraints,
+generator, charge) are returned as their diagonals.  Each spec is enumerated
+once: its charges, fields and divergence eigenvalues are kept in a read-only
+table, at most about 1.9 MB per spec under ``ENUMERATION_LIMIT`` and at most
+four specs (about 7.7 MB) at a time, and every diagonal is read from it.
+Public functions return fresh arrays, never the table's own.
 
 Gauge-invariant operators on an interior are worked out from their supports.
 Splitting every configuration into an interior part a and an exterior part e,
@@ -26,8 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
-from typing import Collection
+from functools import lru_cache, partial, reduce
+from typing import Collection, NamedTuple
 
 import numpy as np
 
@@ -40,15 +44,11 @@ __all__ = [
     "SectorDecomposition",
     "SuperselectionReport",
     "enumerate_basis",
-    "gauss_operator",
     "gauss_diagonal",
     "physical_subspace",
     "charge_sectors",
-    "gauge_generator",
     "gauge_generator_diagonal",
-    "boundary_decomposition",
     "boundary_decomposition_diagonals",
-    "total_charge",
     "total_charge_diagonal",
     "wilson_line",
     "maximal_interior",
@@ -62,6 +62,7 @@ DENSE_OPERATOR_LIMIT = 2048
 CROSS_ELEMENT_TOL = 1e-12
 _SUPPORT_TOL = 1e-12
 _PAIR_BLOCK = 1 << 22  # (a, b, e) comparisons per block of _kept_pairs
+_TABLE_CACHE_SIZE = 4  # specs whose configuration tables are kept
 
 FactorLabel = tuple[str, int]
 
@@ -133,46 +134,58 @@ class GaugeFunction:
         return cls(np.full(sites, value), left_value=value, asymptotic_value=value)
 
 
-def _config_arrays(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Charge and field values of every configuration, shape (flat_dim, N) each."""
+class _ConfigTable(NamedTuple):
+    """Every configuration of one spec, in flat-index order; read-only int64 arrays.
+
+    ``charges`` and ``fields`` hold q_1..q_N and E_1..E_N, and ``divergence``
+    holds E_x - E_{x-1} - q_x per site (E_0 = left field); each has shape
+    (flat_dim, N).
+    """
+
+    charges: np.ndarray
+    fields: np.ndarray
+    divergence: np.ndarray
+
+
+def _config_table(spec: LatticeSpec) -> _ConfigTable:
+    """The configuration table of a spec, enumerated on the first call only.
+
+    Specs beyond ``ENUMERATION_LIMIT`` are refused on every call, before the
+    cache is consulted.  The bound allows at most N = 4 sites, so one table
+    takes at most 20 000 x 4 x 3 x 8 B, about 1.9 MB.
+    """
     if spec.flat_dim > ENUMERATION_LIMIT:
         raise ValueError(
             f"flat dimension {spec.flat_dim} exceeds enumeration bound {ENUMERATION_LIMIT}"
         )
+    return _enumerate(spec)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _enumerate(spec: LatticeSpec) -> _ConfigTable:
     n = spec.sites
-    dims = spec.layout.dims
-    idx = np.unravel_index(np.arange(spec.flat_dim), dims)
-    charges = np.stack([idx[x] - 1 for x in range(n)], axis=1)
-    fields = np.stack([idx[n + x] - spec.e_max for x in range(n)], axis=1)
-    return charges.astype(np.int64), fields.astype(np.int64)
+    idx = np.unravel_index(np.arange(spec.flat_dim), spec.layout.dims)
+    charges = np.stack([idx[x] - 1 for x in range(n)], axis=1).astype(np.int64)
+    fields = np.stack([idx[n + x] - spec.e_max for x in range(n)], axis=1).astype(np.int64)
+    left = np.concatenate(
+        [np.full((spec.flat_dim, 1), spec.left_field), fields[:, :-1]], axis=1
+    )
+    table = _ConfigTable(charges, fields, fields - left - charges)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def enumerate_basis(spec: LatticeSpec) -> np.ndarray:
     """All configurations as integer rows (q_1..q_N, E_1..E_N), in flat-index order."""
-    charges, fields = _config_arrays(spec)
-    return np.concatenate([charges, fields], axis=1)
-
-
-def _diag_operator(spec: LatticeSpec, diag: np.ndarray) -> Operator:
-    if spec.flat_dim > DENSE_OPERATOR_LIMIT:
-        raise ValueError(
-            f"flat dimension {spec.flat_dim} exceeds dense bound {DENSE_OPERATOR_LIMIT}; "
-            "use the *_diagonal form"
-        )
-    return Operator(spec.layout, np.diag(diag.astype(np.complex128)))
+    table = _config_table(spec)
+    return np.concatenate([table.charges, table.fields], axis=1)
 
 
 def gauss_diagonal(spec: LatticeSpec, x: int) -> np.ndarray:
     """Eigenvalues of the site-x divergence E_x - E_{x-1} - q_x (E_0 = left field)."""
     spec._check_site(x)
-    charges, fields = _config_arrays(spec)
-    left = fields[:, x - 2] if x >= 2 else np.full(spec.flat_dim, spec.left_field)
-    return (fields[:, x - 1] - left - charges[:, x - 1]).astype(np.float64)
-
-
-def gauss_operator(spec: LatticeSpec, x: int) -> Operator:
-    """Divergence constraint at site x as a diagonal operator."""
-    return _diag_operator(spec, gauss_diagonal(spec, x))
+    return _config_table(spec).divergence[:, x - 1].astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -202,12 +215,6 @@ class PhysicalSubspace:
             raise ValueError("state dimension does not match the lattice")
         return state.amplitudes[self.basis].copy()
 
-    def isometry_matrix(self) -> np.ndarray:
-        """The (flat_dim x dim) 0/1 embedding matrix."""
-        iso = np.zeros((self.spec.flat_dim, self.dim))
-        iso[self.basis, np.arange(self.dim)] = 1.0
-        return iso
-
     def support_violation(self, state: StateVector) -> float:
         """Total weight of a state outside the physical subspace."""
         mask = np.ones(self.spec.flat_dim, dtype=bool)
@@ -215,21 +222,12 @@ class PhysicalSubspace:
         return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
 
 
-def _divergences(spec: LatticeSpec, charges: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """E_x - E_{x-1} - q_x per configuration and site (E_0 = left field), shape (flat_dim, N)."""
-    left = np.concatenate(
-        [np.full((spec.flat_dim, 1), spec.left_field), fields[:, :-1]], axis=1
-    )
-    return fields - left - charges
-
-
 def physical_subspace(spec: LatticeSpec) -> PhysicalSubspace:
     """Brute-force filter of the configuration basis by all constraints."""
-    charges, fields = _config_arrays(spec)
-    ok = np.all(_divergences(spec, charges, fields) == 0, axis=1)
-    basis = np.nonzero(ok)[0]
-    table = np.concatenate([charges[basis], fields[basis]], axis=1)
-    return PhysicalSubspace(spec, basis, table)
+    table = _config_table(spec)
+    basis = np.nonzero(np.all(table.divergence == 0, axis=1))[0]
+    configurations = np.concatenate([table.charges[basis], table.fields[basis]], axis=1)
+    return PhysicalSubspace(spec, basis, configurations)
 
 
 @dataclass(frozen=True)
@@ -271,17 +269,12 @@ def gauge_generator_diagonal(spec: LatticeSpec, xi: GaugeFunction) -> np.ndarray
     site charge term sum_x q_x xi_x.
     """
     v = _gauge_arrays(spec, xi)
-    charges, fields = _config_arrays(spec)
+    charges, fields, _ = _config_table(spec)
     xi_ext = np.append(v, xi.asymptotic_value)
     diff = xi_ext[1:] - v  # xi_{x+1} - xi_x per link
     diag = fields @ diff + charges @ v
     diag += spec.left_field * (v[0] - xi.left_value)
     return diag.astype(np.float64)
-
-
-def gauge_generator(spec: LatticeSpec, xi: GaugeFunction) -> Operator:
-    """Generator of the gauge transformation parameterized by xi (diagonal)."""
-    return _diag_operator(spec, gauge_generator_diagonal(spec, xi))
 
 
 def boundary_decomposition_diagonals(
@@ -294,27 +287,18 @@ def boundary_decomposition_diagonals(
     divergence constraints.  Their sum reproduces the stencil form exactly.
     """
     v = _gauge_arrays(spec, xi)
-    _, fields = _config_arrays(spec)
+    _, fields, divergence = _config_table(spec)
     surface = xi.asymptotic_value * fields[:, -1] - xi.left_value * spec.left_field
     bulk = np.zeros(spec.flat_dim)
-    for x in range(1, spec.sites + 1):
-        bulk -= v[x - 1] * gauss_diagonal(spec, x)
+    for x in range(spec.sites):
+        bulk -= v[x] * divergence[:, x]
     return surface.astype(np.float64), bulk
-
-
-def boundary_decomposition(spec: LatticeSpec, xi: GaugeFunction) -> tuple[Operator, Operator]:
-    surface, bulk = boundary_decomposition_diagonals(spec, xi)
-    return _diag_operator(spec, surface), _diag_operator(spec, bulk)
 
 
 def total_charge_diagonal(spec: LatticeSpec) -> np.ndarray:
     """Boundary flux E_N minus the fixed left field, per configuration."""
-    _, fields = _config_arrays(spec)
+    fields = _config_table(spec).fields
     return (fields[:, -1] - spec.left_field).astype(np.float64)
-
-
-def total_charge(spec: LatticeSpec) -> Operator:
-    return _diag_operator(spec, total_charge_diagonal(spec))
 
 
 def _wilson_map(spec: LatticeSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -391,7 +375,7 @@ def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, n
     one integer, so two configurations agree in every constraint exactly when
     their codes are equal.
     """
-    charges, fields = _config_arrays(spec)
+    charges, fields, divergence = _config_table(spec)
     dims = spec.layout.dims
     exterior = [f for f in range(len(dims)) if f not in factors]
     multi = np.concatenate([charges + 1, fields + spec.e_max], axis=1)
@@ -407,7 +391,7 @@ def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, n
     position[int_code, ext_code] = np.arange(spec.flat_dim)
 
     reach = 2 * spec.e_max + 1  # |E_x - E_{x-1} - q_x| <= 2 e_max + 1
-    shifted = _divergences(spec, charges, fields) + reach
+    shifted = divergence + reach
     code = np.ravel_multi_index(shifted.T, (2 * reach + 1,) * spec.sites)
     return position, code[position]
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import qdeco.cli as cli
 from qdeco.cli import emit_sweep, run
 
 from oracles import brute_force_gauss_kernel
@@ -100,6 +101,41 @@ class TestExitCodes:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "head,flag,value,tail",
+        [
+            (["field", "coherence-length"], "--efield-v-per-cm", "-1e7", []),
+            (["field", "factor", "--volume-cm3", "1e-12"], "--efield-v-per-cm", "-1E+7", []),
+            (["dephasing", "--spins", "2"], "--coupling", "-.5e1,2",
+             ["--t-max", "1", "--steps", "3"]),
+            (["tripartite", "--env-overlap", "-2e-1"], "--coeffs", "-0.6,8e-1", []),
+        ],
+    )
+    def test_negative_number_after_a_flag(self, capsys, head, flag, value, tail):
+        code, spaced, err = run_capture(capsys, [*head, flag, value, *tail])
+        assert (code, err) == (0, "")
+        code, joined, _ = run_capture(capsys, [*head, f"{flag}={value}", *tail])
+        assert code == 0
+        assert spaced == joined
+
+    def test_unknown_flag_after_negative_value(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["field", "coherence-length", "--efield-v-per-cm", "-1e7", "-e7"]
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_memory_error_is_exit_1(self, capsys, monkeypatch):
+        def exhausted(values):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setitem(cli.RUNNERS, ("thermal", "length"), exhausted)
+        code, out, err = run_capture(capsys, ["thermal", "length", "--time-s", "1"])
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "out of memory" in err
 
 
 class TestReports:

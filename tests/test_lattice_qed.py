@@ -3,32 +3,43 @@ import math
 import numpy as np
 import pytest
 
-from qdeco.hilbert import StateVector
+from qdeco.cli import run
+from qdeco.hilbert import Operator, StateVector
 from qdeco.lattice_qed import (
     GaugeFunction,
     LatticeSpec,
-    boundary_decomposition,
     boundary_decomposition_diagonals,
     charge_phase_action,
     charge_sectors,
     enumerate_basis,
-    gauge_generator,
     gauge_generator_diagonal,
     gauge_invariant_local_basis,
     gauss_diagonal,
-    gauss_operator,
     maximal_interior,
     physical_subspace,
     superselection_report,
-    total_charge,
     total_charge_diagonal,
     wilson_line,
 )
 import qdeco.lattice_qed as lattice_qed
-from qdeco.lattice_qed import _basis_blocks, _commutant_basis, _kept_pairs, _support_table, _wilson_map
+from qdeco.lattice_qed import (
+    _basis_blocks,
+    _commutant_basis,
+    _config_table,
+    _enumerate,
+    _kept_pairs,
+    _support_table,
+    _wilson_map,
+)
 
 
-from oracles import brute_commutant_basis, brute_force_gauss_kernel, brute_wilson_line
+from oracles import (
+    brute_commutant_basis,
+    brute_force_gauss_kernel,
+    brute_gauss_eigenvalues,
+    brute_wilson_line,
+    lattice_configurations,
+)
 
 
 def random_gauge(rng, sites) -> GaugeFunction:
@@ -87,21 +98,42 @@ class TestGaussOperator:
 
     def test_operators_commute(self):
         spec = LatticeSpec(sites=2, e_max=1)
-        g1 = gauss_operator(spec, 1).entries
-        g2 = gauss_operator(spec, 2).entries
+        g1 = np.diag(gauss_diagonal(spec, 1))
+        g2 = np.diag(gauss_diagonal(spec, 2))
         assert np.max(np.abs(g1 @ g2 - g2 @ g1)) == 0.0
 
     def test_diagonal_and_integer(self):
         spec = LatticeSpec(sites=2, e_max=1)
         for x in (1, 2):
-            op = gauss_operator(spec, x)
-            assert np.max(np.abs(op.entries - np.diag(np.diag(op.entries)))) == 0.0
-            diag = np.diag(op.entries).real
+            diag = gauss_diagonal(spec, x)
+            assert diag.dtype == np.float64
+            assert diag.shape == (spec.flat_dim,)
             np.testing.assert_array_equal(diag, np.round(diag))
+            # |E_x - E_{x-1} - q_x| <= 2 e_max + 1
+            assert np.max(np.abs(diag)) <= 2 * spec.e_max + 1
 
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
-            gauss_operator(LatticeSpec(sites=2, e_max=1), 3)
+            gauss_diagonal(LatticeSpec(sites=2, e_max=1), 3)
+        with pytest.raises(ValueError):
+            gauss_diagonal(LatticeSpec(sites=2, e_max=1), 0)
+
+    @pytest.mark.parametrize("left", [-1, 0, 1])
+    @pytest.mark.parametrize("sites,e_max", [(1, 1), (2, 1), (2, 2), (3, 1)])
+    def test_matches_brute_eigenvalues(self, sites, e_max, left):
+        spec = LatticeSpec(sites=sites, e_max=e_max, left_field=left)
+        ref = np.array([
+            brute_gauss_eigenvalues(config, sites, left)
+            for config in lattice_configurations(sites, e_max)
+        ])
+        for x in range(1, sites + 1):
+            np.testing.assert_array_equal(gauss_diagonal(spec, x), ref[:, x - 1])
+
+        rng = np.random.default_rng(31 * sites + 7 * e_max + left)
+        for _ in range(5):
+            xi = random_gauge(rng, sites)
+            _, bulk = boundary_decomposition_diagonals(spec, xi)
+            np.testing.assert_allclose(bulk, -(ref @ xi.values), rtol=0, atol=1e-12)
 
 
 class TestPhysicalSubspace:
@@ -138,8 +170,9 @@ class TestPhysicalSubspace:
         state = sub.embed(coords)
         np.testing.assert_allclose(sub.project(state), coords, atol=1e-15)
         assert sub.support_violation(state) == 0.0
-        iso = sub.isometry_matrix()
-        np.testing.assert_allclose(iso.T @ iso, np.eye(sub.dim), atol=1e-15)
+        # embedding is an isometry: distinct basis indices, norm preserved
+        assert np.all(np.diff(sub.basis) > 0)
+        assert abs(state.norm() - 1.0) <= 1e-15
 
 
 class TestGaugeGenerator:
@@ -190,12 +223,12 @@ class TestGaugeGenerator:
     def test_dense_operator_is_diagonal_hermitian(self):
         spec = LatticeSpec(sites=1, e_max=1)
         xi = GaugeFunction(values=np.array([0.37]), left_value=-0.2, asymptotic_value=0.9)
-        op = gauge_generator(spec, xi)
-        assert op.is_hermitian()
-        assert np.max(np.abs(op.entries - np.diag(np.diag(op.entries)))) == 0.0
-        np.testing.assert_allclose(
-            np.diag(op.entries).real, gauge_generator_diagonal(spec, xi), atol=1e-15
-        )
+        diag = gauge_generator_diagonal(spec, xi)
+        assert diag.dtype == np.float64
+        assert Operator(spec.layout, np.diag(diag.astype(complex))).is_hermitian()
+        # stencil form per configuration: E_1 (xi_inf - xi_1) + q_1 xi_1
+        expected = [e * (0.9 - 0.37) + q * 0.37 for q, e in enumerate_basis(spec)]
+        np.testing.assert_allclose(diag, expected, atol=1e-15)
 
 
 class TestBoundaryDecomposition:
@@ -223,9 +256,9 @@ class TestBoundaryDecomposition:
         spec = LatticeSpec(sites=2, e_max=1, left_field=-1)
         rng = np.random.default_rng(101)
         xi = random_gauge(rng, 2)
-        total = gauge_generator(spec, xi).entries
-        surface, bulk = boundary_decomposition(spec, xi)
-        residual = np.max(np.abs(total - surface.entries - bulk.entries))
+        total = np.diag(gauge_generator_diagonal(spec, xi))
+        surface, bulk = (np.diag(d) for d in boundary_decomposition_diagonals(spec, xi))
+        residual = np.max(np.abs(total - surface - bulk))
         assert residual <= 1e-12
 
     def test_bulk_annihilates_physical_states(self):
@@ -268,10 +301,11 @@ class TestTotalCharge:
             np.testing.assert_array_equal(site_sum, flux)
 
     def test_integer_spectrum(self):
-        spec = LatticeSpec(sites=2, e_max=1)
-        op = total_charge(spec)
-        diag = np.diag(op.entries).real
+        spec = LatticeSpec(sites=2, e_max=1, left_field=1)
+        diag = total_charge_diagonal(spec)
+        assert diag.dtype == np.float64
         np.testing.assert_array_equal(diag, np.round(diag))
+        np.testing.assert_array_equal(np.unique(diag), [-2.0, -1.0, 0.0])
 
 
 class TestWilsonLine:
@@ -615,3 +649,65 @@ class TestSupportFormParity:
         np.testing.assert_array_equal(table[dst], raised)
         at_edge = (table[:, 1] == 1) | np.any(table[:, 5:] == 1, axis=1)
         assert len(src) == np.count_nonzero(~at_edge)
+
+
+class TestConfigTable:
+    """One enumeration per spec, shared read-only, never handed to callers."""
+
+    def test_identity_check_enumerates_once(self, capsys):
+        _enumerate.cache_clear()
+        argv = ["lattice", "identity-check", "--sites", "4", "--emax", "1",
+                "--seed", "1", "--trials", "200"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        info = _enumerate.cache_info()
+        assert info.misses == 1
+        assert info.hits > 200
+
+    def test_over_the_bound_refused_on_every_call(self):
+        spec = LatticeSpec(sites=4, e_max=2)
+        misses = _enumerate.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(ValueError, match="enumeration bound"):
+                physical_subspace(spec)
+            with pytest.raises(ValueError, match="enumeration bound"):
+                gauss_diagonal(spec, 1)
+        assert _enumerate.cache_info().misses == misses  # refused before enumerating
+
+    def test_table_is_read_only(self):
+        table = _config_table(LatticeSpec(sites=2, e_max=1))
+        for array in table:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 7
+
+    def test_table_matches_enumeration(self):
+        spec = LatticeSpec(sites=3, e_max=1, left_field=-1)
+        table = _config_table(spec)
+        ref = np.array(lattice_configurations(3, 1))
+        np.testing.assert_array_equal(table.charges, ref[:, :3])
+        np.testing.assert_array_equal(table.fields, ref[:, 3:])
+        assert _config_table(spec) is table
+
+    def test_writing_into_results_changes_nothing(self):
+        spec = LatticeSpec(sites=2, e_max=1, left_field=1)
+        xi = GaugeFunction(values=np.array([0.3, -0.7]), left_value=0.1, asymptotic_value=0.5)
+        producers = {
+            "enumerate_basis": lambda: [enumerate_basis(spec)],
+            "gauss_diagonal": lambda: [gauss_diagonal(spec, x) for x in (1, 2)],
+            "total_charge_diagonal": lambda: [total_charge_diagonal(spec)],
+            "physical_subspace": lambda: [
+                physical_subspace(spec).configurations, physical_subspace(spec).basis
+            ],
+            "boundary_decomposition_diagonals": lambda: list(
+                boundary_decomposition_diagonals(spec, xi)
+            ),
+            "gauge_generator_diagonal": lambda: [gauge_generator_diagonal(spec, xi)],
+        }
+        before = {name: [a.copy() for a in make()] for name, make in producers.items()}
+        for make in producers.values():
+            for array in make():
+                array[...] = 99
+        for name, make in producers.items():
+            for got, want in zip(make(), before[name]):
+                np.testing.assert_array_equal(got, want, err_msg=name)
