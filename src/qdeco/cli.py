@@ -60,6 +60,13 @@ class UsageError(Exception):
     """Bad flags or config keys; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` (one line, no usage block); subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
@@ -249,7 +256,7 @@ _NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(?:,[-+]?{_NUMBER})*$")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdeco",
         description="environment-induced decoherence experiments",
     )
@@ -567,15 +574,11 @@ def _render(key, inputs, outputs, sweep, seed, fmt: str) -> str:
 
 def run(argv: list[str]) -> int:
     """Parse, dispatch, and emit a report; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage/help to the right stream
-        return int(exc.code or 0)
-
-    try:
+        args = _build_parser().parse_args(argv)
         values = _resolve_params(args._key, args)
+    except SystemExit as exc:  # -h printed the help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"qdeco: error: {exc}", file=sys.stderr)
         return 2

@@ -8,9 +8,9 @@ values; target flat dimensions are a few hundred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,8 @@ __all__ = [
     "tensor_product",
     "outer_product",
     "partial_trace",
-    "hermitian_eigendecomposition",
+    "density_spectrum",
+    "spectrum_entropy",
     "von_neumann_entropy",
     "coherence_norm",
     "purity",
@@ -171,12 +172,36 @@ class Operator:
         return f"Operator(dims={self.layout.dims}, dim={self.dim})"
 
 
+def density_spectrum(entries: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a density matrix or a stack ``(..., d, d)``, from one ``eigvalsh``.
+
+    Raises :class:`ValueError` unless every matrix is Hermitian, unit-trace and positive.
+    """
+    # initial= lets an empty stack through
+    dev = np.max(np.abs(entries - np.swapaxes(entries, -1, -2).conj()), initial=0.0)
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
+    tr = np.trace(entries, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if np.any(off > TRACE_TOL):
+        raise ValueError(f"density matrix trace {np.ravel(tr)[np.argmax(off)]} differs from 1")
+    w = np.linalg.eigvalsh(entries)
+    lo = float(np.min(w, initial=0.0))
+    if lo < -_POSITIVITY_TOL:
+        raise ValueError(f"density matrix not positive: min eigenvalue {lo:.3e}")
+    return w
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive matrix (all within fixed tolerances)."""
+    """Hermitian, unit-trace, positive matrix (all within fixed tolerances).
+
+    ``spectrum`` is the read-only spectrum that validation computed.
+    """
 
     layout: TensorLayout
     entries: np.ndarray
+    spectrum: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
@@ -185,18 +210,9 @@ class DensityMatrix:
                 f"matrix dimension {self.entries.shape[0]} does not match "
                 f"layout dimension {self.layout.flat_dim}"
             )
-        self._validate()
-
-    def _validate(self):
-        dev = np.max(np.abs(self.entries - self.entries.conj().T))
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
-        tr = np.trace(self.entries)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        lo = float(np.min(np.linalg.eigvalsh(self.entries)))
-        if lo < -_POSITIVITY_TOL:
-            raise ValueError(f"density matrix not positive: min eigenvalue {lo:.3e}")
+        spectrum = density_spectrum(self.entries)
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -204,9 +220,6 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dims={self.layout.dims}, dim={self.dim})"
-
-
-HermitianLike = Union[Operator, DensityMatrix, np.ndarray]
 
 
 def basis_state(dim: int, index: int) -> StateVector:
@@ -263,35 +276,15 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(TensorLayout(kept_dims), reduced.reshape(d, d))
 
 
-def _hermitian_entries(m: HermitianLike) -> np.ndarray:
-    if isinstance(m, (Operator, DensityMatrix)):
-        entries = m.entries
-    else:
-        entries = _as_complex_matrix(m)
-    dev = np.max(np.abs(entries - entries.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"matrix not Hermitian: deviation {dev:.3e}")
-    return entries
-
-
-def hermitian_eigendecomposition(m: HermitianLike) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian input.
-
-    Backed by LAPACK via ``numpy.linalg.eigh``; the reconstruction
-    ``U diag(w) U^dagger`` matches the input to within ``EIGEN_RESIDUAL_TOL``.
-    """
-    entries = _hermitian_entries(m)
-    w, u = np.linalg.eigh(entries)
-    return w, u
+def spectrum_entropy(p: np.ndarray) -> np.ndarray:
+    """-sum(p ln p) over the last axis, in nats (0 ln 0 := 0)."""
+    p = np.clip(p, 0.0, 1.0)  # drop the [-1e-10, 0) noise that validation lets through
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy -sum(p ln p) of the spectrum, in nats (0 ln 0 := 0)."""
-    w, _ = hermitian_eigendecomposition(rho)
-    # Clip [-1e-10, 0) noise before taking logs.
-    w = np.clip(w.real, 0.0, 1.0)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
+    """Entropy of the validated spectrum ``rho.spectrum``, in nats."""
+    return float(spectrum_entropy(rho.spectrum))
 
 
 def coherence_norm(rho: DensityMatrix) -> float:

@@ -72,11 +72,6 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2.0
-
-
 def direct_entropy(eigenvalues) -> float:
     return float(-sum(w * math.log(w) for w in eigenvalues if w > 0))
 

@@ -126,6 +126,30 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["warp"],
+            ["lattice"],
+            ["thermal", "length", "--time-s", "1", "--bogus", "2"],
+            ["field", "coherence-length", "--efield-v-per-cm", "-inf"],
+            ["thermal", "length", "--time-s", "1", "--format", "xml"],
+        ],
+        ids=["unknown-subcommand", "missing-subcommand", "unknown-flag", "-inf", "format-xml"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("qdeco: error: ")
+
+    def test_help_still_prints_usage(self, capsys):
+        code, out, err = run_capture(capsys, ["thermal", "length", "-h"])
+        assert code == 0
+        assert out.startswith("usage: qdeco thermal length")
+        assert err == ""
+
     def test_memory_error_is_exit_1(self, capsys, monkeypatch):
         def exhausted(values):
             raise MemoryError("Unable to allocate 8.00 GiB for an array")

@@ -26,7 +26,7 @@ from qdeco.hilbert import (
     tensor_product,
 )
 
-from oracles import evolve_dephasing, random_state, reduced_qubit
+from oracles import direct_entropy, evolve_dephasing, random_state, reduced_qubit
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 OVERLAP_09_POW20 = 0.9**20  # 0.1215766545905...
@@ -288,15 +288,43 @@ class TestSpinBathEvolve:
 
     def test_against_dense_kron_oracle(self):
         couplings = [0.7, 1.3, 2.1]
-        weights = (INV_SQRT2, INV_SQRT2)
-        model = SpinBathModel(bath_size=3, couplings=np.array(couplings))
-        for t in (0.3, 1.7):
-            psi = evolve_dephasing(couplings, weights, t)
-            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
-            rho = reduced_qubit(psi)
-            curve = spin_bath_evolve(model, [t])
-            got = abs(rho[0, 1]) / math.sqrt(rho[0, 0].real * rho[1, 1].real)
-            assert abs(curve.coherence[0] - got) <= 1e-12
+        times = [0.0, 0.3, 1.7, math.pi]
+        for weights in [(INV_SQRT2, INV_SQRT2), (0.6, 0.8), (1.0, 0.0)]:
+            model = SpinBathModel(
+                bath_size=3, couplings=np.array(couplings), system_weights=weights
+            )
+            curve = spin_bath_evolve(model, times)
+            for i, t in enumerate(times):
+                psi = evolve_dephasing(couplings, weights, t)
+                assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+                rho = reduced_qubit(psi)
+                populations = rho[0, 0].real * rho[1, 1].real
+                got = abs(rho[0, 1]) / math.sqrt(populations) if populations > 1e-30 else 0.0
+                assert abs(curve.coherence[i] - got) <= 1e-12, (weights, t)
+                entropy = direct_entropy(np.linalg.eigvalsh(rho))
+                assert abs(curve.entropy[i] - entropy) <= 1e-12, (weights, t)
+
+    def test_empty_times(self):
+        model = SpinBathModel(bath_size=3, couplings=np.array([0.7, 1.3, 2.1]))
+        curve = spin_bath_evolve(model, [])
+        assert curve.times.shape == curve.coherence.shape == curve.entropy.shape == (0,)
+
+    def test_one_eigvalsh_and_no_eigh_per_call(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        model = SpinBathModel(bath_size=4, couplings=np.linspace(0.5, 1.4, 4))
+        spin_bath_evolve(model, np.linspace(0.0, 3.0, 40))
+        assert calls == [(40, 2, 2)]
 
     def test_unequal_weights_coherence_is_normalized(self):
         model = SpinBathModel(

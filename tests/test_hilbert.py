@@ -13,7 +13,7 @@ from qdeco.hilbert import (
     TensorLayout,
     basis_state,
     coherence_norm,
-    hermitian_eigendecomposition,
+    density_spectrum,
     outer_product,
     partial_trace,
     purity,
@@ -181,38 +181,85 @@ class TestPartialTrace:
 
 
 class TestEigendecomposition:
+    """The validated spectrum: ``DensityMatrix.spectrum`` and ``density_spectrum``."""
+
     def test_diagonal(self):
-        w, _ = hermitian_eigendecomposition(dm(np.diag([0.3, 0.7]), (2,)))
-        np.testing.assert_allclose(w, [0.3, 0.7], atol=1e-14)
+        np.testing.assert_allclose(dm(np.diag([0.3, 0.7]), (2,)).spectrum, [0.3, 0.7], atol=1e-14)
 
-    def test_pauli_x(self):
-        sx = Operator(TensorLayout((2,)), np.array([[0, 1], [1, 0]], dtype=complex))
-        w, _ = hermitian_eigendecomposition(sx)
-        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-
-    def test_reconstruction_residual(self):
+    def test_spectrum_sums(self):
         rng = np.random.default_rng(31)
-        from oracles import random_hermitian
-
-        m = random_hermitian(rng, 8)
-        w, u = hermitian_eigendecomposition(m)
-        residual = np.max(np.abs(m - u @ np.diag(w) @ u.conj().T))
-        assert residual <= 1e-9
-        assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-9
-        assert abs(np.sum(w) - np.trace(m).real) <= 1e-10
-        assert abs(np.sum(w**2) - np.linalg.norm(m, "fro") ** 2) <= 1e-9
+        for dim in (2, 5, 8):
+            m = random_density(rng, dim)
+            w = dm(m, (dim,)).spectrum
+            assert abs(np.sum(w) - np.trace(m).real) <= 1e-10
+            assert abs(np.sum(w**2) - np.linalg.norm(m, "fro") ** 2) <= 1e-9
 
     def test_eigenvalues_ascending(self):
         rng = np.random.default_rng(37)
-        from oracles import random_hermitian
-
-        w, _ = hermitian_eigendecomposition(random_hermitian(rng, 6))
-        assert np.all(np.diff(w) >= 0)
+        stack = np.stack([random_density(rng, 6) for _ in range(4)])
+        assert np.all(np.diff(dm(stack[0], (6,)).spectrum) >= 0)
+        assert np.all(np.diff(density_spectrum(stack), axis=-1) >= 0)
 
     def test_rejects_non_hermitian(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
+        m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            dm(m, (2,))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            density_spectrum(np.stack([np.eye(2) / 2.0, m]))
+
+    def test_stack_equals_each_matrix(self):
+        rng = np.random.default_rng(59)
+        for dim in (2, 3, 6):
+            stack = np.stack([random_density(rng, dim) for _ in range(5)])
+            spectra = density_spectrum(stack)
+            assert spectra.shape == (5, dim)
+            for m, w in zip(stack, spectra):
+                np.testing.assert_array_equal(w, dm(m, (dim,)).spectrum)
+
+    @pytest.mark.parametrize(
+        "bad,prefix",
+        [
+            (np.array([[0.5, 0.2], [0.0, 0.5]]), "density matrix not Hermitian"),
+            (np.diag([0.5, 0.4]), "density matrix trace"),
+            (np.diag([1.2, -0.2]), "density matrix not positive"),
+        ],
+        ids=["non-hermitian", "trace-0.9", "negative"],
+    )
+    def test_one_bad_matrix_in_a_stack(self, bad, prefix):
+        rng = np.random.default_rng(61)
+        good = [random_density(rng, 2) for _ in range(4)]
+        stack = np.stack(good[:2] + [bad.astype(complex)] + good[2:])
+        with pytest.raises(ValueError) as single:
+            dm(bad, (2,))
+        with pytest.raises(ValueError) as stacked:
+            density_spectrum(stack)
+        assert str(single.value).startswith(prefix)
+        assert str(stacked.value).startswith(prefix)
+
+    def test_spectrum_is_read_only(self):
+        rho = dm(np.diag([0.3, 0.7]), (2,))
+        assert not rho.spectrum.flags.writeable
         with pytest.raises(ValueError):
-            hermitian_eigendecomposition(m)
+            rho.spectrum[0] = 0.5
+
+    def test_one_eigvalsh_per_density_matrix(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        rho = dm(np.diag([0.3, 0.7]), (2,))
+        assert calls == [(2, 2)]
+        # The entropy reads the stored spectrum: no further eigensolver call.
+        assert abs(von_neumann_entropy(rho) - ENTROPY_03_07) <= 1e-12
+        assert calls == [(2, 2)]
 
 
 class TestEntropy:
