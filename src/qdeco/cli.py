@@ -373,7 +373,7 @@ def _run_dephasing(v: dict):
     model = SpinBathModel(bath_size=n, couplings=np.array(couplings))
     times = np.linspace(0.0, float(v["t_max"]), int(v["steps"]))
     curve = spin_bath_evolve(model, times)
-    oracle = np.array([spin_bath_coherence(model, t) for t in curve.times])
+    oracle = spin_bath_coherence(model, curve.times)
     check = entropy_curve(curve)
     outputs = {
         "max_oracle_deviation": float(np.max(np.abs(oracle - curve.coherence))),

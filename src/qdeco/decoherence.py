@@ -40,6 +40,7 @@ __all__ = [
 
 _NORM_TOL = 1e-9
 _MAX_BATH_SIZE = 12
+_PHASE_BLOCK = 2**14  # (time, energy) entries per block of the bath phase table
 ENTROPY_CHECK_TOL = 1e-9
 
 
@@ -206,11 +207,17 @@ class DephasingCurve:
         ]
 
 
-def spin_bath_coherence(model: SpinBathModel, t: float) -> float:
-    """Closed-form coherence prod_k |cos(g_k t)| of the central qubit."""
-    if t < 0:
+def spin_bath_coherence(model: SpinBathModel, t):
+    """Closed-form coherence prod_k |cos(g_k t)| of the central qubit.
+
+    A scalar time gives a ``float``; an array of times gives an array of the
+    same shape.
+    """
+    t_arr = np.asarray(t, dtype=np.float64)
+    if np.any(t_arr < 0):
         raise ValueError("time must be nonnegative")
-    return float(np.prod(np.abs(np.cos(model.couplings * t))))
+    r = np.prod(np.abs(np.cos(np.multiply.outer(t_arr, model.couplings))), axis=-1)
+    return float(r) if t_arr.ndim == 0 else r
 
 
 def _bath_energies(model: SpinBathModel) -> np.ndarray:
@@ -221,12 +228,33 @@ def _bath_energies(model: SpinBathModel) -> np.ndarray:
     return energies
 
 
+def _bath_overlap(model: SpinBathModel, times: np.ndarray) -> np.ndarray:
+    """sum_j w_j exp(-2i E_j t) at every time, over the distinct bath energies E_j.
+
+    ``w_j`` is the share of the 2^N bath basis states with energy E_j.  The
+    phase table is built ``_PHASE_BLOCK // K`` times at once (one time at least)
+    for K distinct energies, and its cosine and sine are summed separately:
+    that is cheaper than ``exp`` of a complex table.
+    """
+    energies, counts = np.unique(_bath_energies(model), return_counts=True)
+    weights = counts / counts.sum()
+    rows = max(1, _PHASE_BLOCK // len(energies))
+    overlap = np.empty(len(times), dtype=np.complex128)
+    for start in range(0, len(times), rows):
+        phase = np.multiply.outer(-2.0 * times[start:start + rows], energies)
+        overlap.real[start:start + rows] = np.cos(phase) @ weights
+        overlap.imag[start:start + rows] = np.sin(phase) @ weights
+    return overlap
+
+
 def spin_bath_evolve(model: SpinBathModel, times) -> DephasingCurve:
     """Reduced system qubit of (c0|0> + c1|1>) (x)_k |+>, evolved exactly.
 
-    The coupling is diagonal, so rho00 = |c0|^2, rho11 = |c1|^2 and, summed over
-    the bath energies e_b, rho01(t) = c0 c1* mean_b exp(-2i e_b t).  Returns the
-    coherence |rho01| / sqrt(rho00 rho11) and the entropy of the validated spectra.
+    The coupling is diagonal, so rho00 = |c0|^2, rho11 = |c1|^2 and
+    rho01(t) = c0 c1* sum_j w_j exp(-2i E_j t), summed over the distinct
+    energies E_j of the 2^N bath basis states, each weighted by the share w_j
+    of states that have it.  Returns the coherence |rho01| / sqrt(rho00 rho11)
+    and the entropy of the validated spectra.
     """
     if model.bath_size > _MAX_BATH_SIZE:
         raise ValueError(
@@ -237,9 +265,7 @@ def spin_bath_evolve(model: SpinBathModel, times) -> DephasingCurve:
         raise ValueError("times must be nonnegative")
 
     c0, c1 = model.system_weights
-    e_bath = _bath_energies(model)
-    # One time step at a time: a (T, 2^N) phase table would hold 131 MB at N = 12, T = 2000.
-    overlap = np.array([np.mean(np.exp(-2j * t * e_bath)) for t in t_arr], dtype=np.complex128)
+    overlap = _bath_overlap(model, t_arr)
 
     rho = np.empty((len(t_arr), 2, 2), dtype=np.complex128)
     rho[:, 0, 0] = abs(c0) ** 2

@@ -303,5 +303,9 @@ def coherence_norm(rho: DensityMatrix) -> float:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), between 1/dim (maximally mixed) and 1 (pure)."""
-    return float(np.real(np.trace(rho.entries @ rho.entries)))
+    """Tr(rho^2), between 1/dim (maximally mixed) and 1 (pure).
+
+    For a Hermitian rho this is sum_ij |rho_ij|^2, which needs no matrix product.
+    """
+    e = rho.entries
+    return float(np.vdot(e, e).real)

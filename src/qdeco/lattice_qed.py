@@ -135,11 +135,12 @@ class GaugeFunction:
 
 
 class _ConfigTable(NamedTuple):
-    """Every configuration of one spec, in flat-index order; read-only int64 arrays.
+    """Every configuration of one spec, in flat-index order; read-only float64 arrays.
 
     ``charges`` and ``fields`` hold q_1..q_N and E_1..E_N, and ``divergence``
     holds E_x - E_{x-1} - q_x per site (E_0 = left field); each has shape
-    (flat_dim, N).
+    (flat_dim, N).  The values are small integers, exact in float64; keeping
+    them as floats spares every product with a float vector a cast of the table.
     """
 
     charges: np.ndarray
@@ -165,8 +166,8 @@ def _config_table(spec: LatticeSpec) -> _ConfigTable:
 def _enumerate(spec: LatticeSpec) -> _ConfigTable:
     n = spec.sites
     idx = np.unravel_index(np.arange(spec.flat_dim), spec.layout.dims)
-    charges = np.stack([idx[x] - 1 for x in range(n)], axis=1).astype(np.int64)
-    fields = np.stack([idx[n + x] - spec.e_max for x in range(n)], axis=1).astype(np.int64)
+    charges = np.stack([idx[x] - 1 for x in range(n)], axis=1).astype(np.float64)
+    fields = np.stack([idx[n + x] - spec.e_max for x in range(n)], axis=1).astype(np.float64)
     left = np.concatenate(
         [np.full((spec.flat_dim, 1), spec.left_field), fields[:, :-1]], axis=1
     )
@@ -179,13 +180,13 @@ def _enumerate(spec: LatticeSpec) -> _ConfigTable:
 def enumerate_basis(spec: LatticeSpec) -> np.ndarray:
     """All configurations as integer rows (q_1..q_N, E_1..E_N), in flat-index order."""
     table = _config_table(spec)
-    return np.concatenate([table.charges, table.fields], axis=1)
+    return np.concatenate([table.charges, table.fields], axis=1).astype(np.int64)
 
 
 def gauss_diagonal(spec: LatticeSpec, x: int) -> np.ndarray:
     """Eigenvalues of the site-x divergence E_x - E_{x-1} - q_x (E_0 = left field)."""
     spec._check_site(x)
-    return _config_table(spec).divergence[:, x - 1].astype(np.float64)
+    return _config_table(spec).divergence[:, x - 1].copy()
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,9 @@ def physical_subspace(spec: LatticeSpec) -> PhysicalSubspace:
     """Brute-force filter of the configuration basis by all constraints."""
     table = _config_table(spec)
     basis = np.nonzero(np.all(table.divergence == 0, axis=1))[0]
-    configurations = np.concatenate([table.charges[basis], table.fields[basis]], axis=1)
+    configurations = np.concatenate(
+        [table.charges[basis], table.fields[basis]], axis=1
+    ).astype(np.int64)
     return PhysicalSubspace(spec, basis, configurations)
 
 
@@ -274,7 +277,7 @@ def gauge_generator_diagonal(spec: LatticeSpec, xi: GaugeFunction) -> np.ndarray
     diff = xi_ext[1:] - v  # xi_{x+1} - xi_x per link
     diag = fields @ diff + charges @ v
     diag += spec.left_field * (v[0] - xi.left_value)
-    return diag.astype(np.float64)
+    return diag
 
 
 def boundary_decomposition_diagonals(
@@ -292,13 +295,12 @@ def boundary_decomposition_diagonals(
     bulk = np.zeros(spec.flat_dim)
     for x in range(spec.sites):
         bulk -= v[x] * divergence[:, x]
-    return surface.astype(np.float64), bulk
+    return surface, bulk
 
 
 def total_charge_diagonal(spec: LatticeSpec) -> np.ndarray:
     """Boundary flux E_N minus the fixed left field, per configuration."""
-    fields = _config_table(spec).fields
-    return (fields[:, -1] - spec.left_field).astype(np.float64)
+    return _config_table(spec).fields[:, -1] - spec.left_field
 
 
 def _wilson_map(spec: LatticeSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -378,7 +380,7 @@ def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, n
     charges, fields, divergence = _config_table(spec)
     dims = spec.layout.dims
     exterior = [f for f in range(len(dims)) if f not in factors]
-    multi = np.concatenate([charges + 1, fields + spec.e_max], axis=1)
+    multi = np.concatenate([charges + 1, fields + spec.e_max], axis=1).astype(np.int64)
     int_dims = [dims[f] for f in factors]
     ext_dims = [dims[f] for f in exterior]
     int_code = np.ravel_multi_index(multi[:, factors].T, int_dims)
@@ -391,7 +393,7 @@ def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, n
     position[int_code, ext_code] = np.arange(spec.flat_dim)
 
     reach = 2 * spec.e_max + 1  # |E_x - E_{x-1} - q_x| <= 2 e_max + 1
-    shifted = divergence + reach
+    shifted = (divergence + reach).astype(np.int64)
     code = np.ravel_multi_index(shifted.T, (2 * reach + 1,) * spec.sites)
     return position, code[position]
 

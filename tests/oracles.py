@@ -106,6 +106,19 @@ def evolve_dephasing(couplings, weights, t: float) -> np.ndarray:
     return np.exp(-1j * np.diag(h).real * t) * psi0
 
 
+def brute_bath_overlap(couplings, times) -> np.ndarray:
+    """mean_b exp(-2i e_b t) over all 2^N bath states, one time step at a time.
+
+    Every sign pattern of the per-spin energies +-g_k/2 is enumerated and kept,
+    duplicates included, so no grouping of equal energies is assumed.
+    """
+    energies = np.array([
+        sum(s * g / 2.0 for s, g in zip(signs, couplings))
+        for signs in itertools.product((1.0, -1.0), repeat=len(couplings))
+    ])
+    return np.array([np.mean(np.exp(-2j * t * energies)) for t in times], dtype=np.complex128)
+
+
 def reduced_qubit(psi: np.ndarray) -> np.ndarray:
     m = psi.reshape(2, -1)
     return m @ m.conj().T

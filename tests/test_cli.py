@@ -239,6 +239,19 @@ class TestReports:
         assert report["outputs"]["max_oracle_deviation"] <= 1e-10
         assert report["outputs"]["entropy_max_deviation"] <= 1e-9
 
+    def test_dephasing_largest_bath_json_and_csv_agree(self, capsys):
+        argv = ["dephasing", "--spins", "12", "--coupling", "0.759641",
+                "--t-max", "6.0", "--steps", "2000"]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["rows"]) == 2000
+        assert report["outputs"]["max_oracle_deviation"] <= 1e-10
+        code, out, _ = run_capture(capsys, [*argv, "--format", "csv"])
+        assert code == 0
+        csv_rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(out))]
+        assert csv_rows == report["rows"]
+
     def test_tripartite_report(self, capsys):
         c = 1.0 / math.sqrt(2.0)
         code, out, _ = run_capture(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qdeco.decoherence as decoherence
 from qdeco.decoherence import (
     CorrelatedStateSpec,
     DephasingCurve,
@@ -26,7 +27,13 @@ from qdeco.hilbert import (
     tensor_product,
 )
 
-from oracles import direct_entropy, evolve_dephasing, random_state, reduced_qubit
+from oracles import (
+    brute_bath_overlap,
+    direct_entropy,
+    evolve_dephasing,
+    random_state,
+    reduced_qubit,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 OVERLAP_09_POW20 = 0.9**20  # 0.1215766545905...
@@ -257,6 +264,18 @@ class TestSpinBathCoherence:
         model = SpinBathModel(bath_size=1, couplings=np.array([1.0]))
         with pytest.raises(ValueError):
             spin_bath_coherence(model, -0.1)
+        with pytest.raises(ValueError):
+            spin_bath_coherence(model, np.array([0.0, 1.0, -0.1]))
+
+    def test_array_of_times_matches_scalar_calls(self):
+        rng = np.random.default_rng(17)
+        model = SpinBathModel(bath_size=7, couplings=rng.uniform(0.1, 3.0, size=7))
+        times = np.linspace(0.0, 9.0, 301)
+        got = spin_bath_coherence(model, times)
+        assert isinstance(got, np.ndarray) and got.shape == times.shape
+        scalars = [spin_bath_coherence(model, float(t)) for t in times]
+        assert all(type(r) is float for r in scalars)
+        assert np.max(np.abs(got - scalars)) <= 1e-15
 
 
 class TestSpinBathEvolve:
@@ -345,6 +364,80 @@ class TestSpinBathEvolve:
         curve = spin_bath_evolve(model, [t])
         r = spin_bath_coherence(model, t)
         assert abs(curve.entropy[0] - binary_entropy((1.0 - r) / 2.0)) <= 1e-9
+
+
+def _bath_cases():
+    """(couplings, system weights) for every bath size the evolution admits."""
+    rng = np.random.default_rng(2005)
+    for n in range(1, 13):
+        yield pytest.param(np.full(n, 0.759641), (INV_SQRT2, INV_SQRT2), id=f"uniform-{n}")
+        yield pytest.param(
+            np.sort(rng.uniform(0.2, 2.0, size=n)), (INV_SQRT2, INV_SQRT2), id=f"distinct-{n}"
+        )
+        yield pytest.param(rng.uniform(0.2, 2.0, size=n), (0.6, 0.8), id=f"weighted-{n}")
+
+
+class TestBathSpectrumSum:
+    """The sum over distinct bath energies against the per-step mean over all 2^N states."""
+
+    @pytest.mark.parametrize("couplings,weights", list(_bath_cases()))
+    def test_matches_brute_force_mean(self, couplings, weights):
+        model = SpinBathModel(
+            bath_size=len(couplings), couplings=couplings, system_weights=weights
+        )
+        times = np.linspace(0.0, 6.0, 61)
+        brute = brute_bath_overlap(couplings, times)
+        assert np.max(np.abs(decoherence._bath_overlap(model, times) - brute)) <= 1e-13
+        curve = spin_bath_evolve(model, times)
+        assert np.max(np.abs(curve.coherence - np.abs(brute))) <= 1e-13
+
+    def test_evolution_sums_distinct_energies_in_blocks(self, monkeypatch):
+        sizes = []
+        cos = np.cos
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return cos(x, *args, **kwargs)
+
+        model = SpinBathModel(bath_size=12, couplings=np.full(12, 0.759641))
+        distinct = len(np.unique(decoherence._bath_energies(model)))
+        monkeypatch.setattr(np, "cos", counted)
+        spin_bath_evolve(model, np.linspace(0.0, 6.0, 2000))
+        assert distinct < 2**12 // 100  # 13 in exact arithmetic; rounding splits a few
+        assert sum(sizes) == 2000 * distinct
+        assert len(sizes) > 1 and max(sizes) <= decoherence._PHASE_BLOCK
+
+    @pytest.mark.parametrize("couplings", [
+        np.array([1.3]),
+        np.full(4, 0.9),
+        np.linspace(0.2, 2.0, 10),
+    ])
+    def test_block_size_changes_nothing(self, couplings, monkeypatch):
+        model = SpinBathModel(bath_size=len(couplings), couplings=couplings)
+        times = np.linspace(0.0, 6.0, 2000)  # 125 blocks of 16 times at N = 10
+        ref = decoherence._bath_overlap(model, times)
+        ref_coherence = spin_bath_evolve(model, times).coherence
+        for block in (1, 7, decoherence._PHASE_BLOCK):
+            monkeypatch.setattr(decoherence, "_PHASE_BLOCK", block)
+            assert np.max(np.abs(decoherence._bath_overlap(model, times) - ref)) <= 1e-15
+            coherence = spin_bath_evolve(model, times).coherence
+            assert np.max(np.abs(coherence - ref_coherence)) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_short_time_gaussian_law(self, n):
+        """-ln|r| = t^2 sum g^2 / 2 + t^4 sum g^4 / 12 + O(t^6) (Cucchietti, Paz & Zurek 2005).
+
+        For x = g t <= 0.1, -ln cos x - x^2/2 - x^4/12 = x^6/45 + O(x^8) lies in
+        [0, x^6/40], which brackets the fourth-order remainder from both sides.
+        """
+        rng = np.random.default_rng(500 + n)
+        g = rng.uniform(0.2, 2.0, size=n)
+        times = np.linspace(0.02, 0.1, 9) / g.max()
+        curve = spin_bath_evolve(SpinBathModel(bath_size=n, couplings=g), times)
+        remainder = -np.log(curve.coherence) - times**2 * np.sum(g**2) / 2.0
+        fourth = times**4 * np.sum(g**4) / 12.0
+        assert np.all(fourth <= remainder)
+        assert np.all(remainder <= fourth + times**6 * np.sum(g**6) / 40.0)
 
 
 class TestEntropyCurve:

@@ -330,6 +330,13 @@ class TestPurity:
             p = purity(dm(random_density(rng, dim), (dim,)))
             assert 1.0 / dim - 1e-12 <= p <= 1.0 + 1e-10
 
+    def test_matches_trace_of_square(self):
+        rng = np.random.default_rng(307)
+        for dim in (2, 8, 64):
+            rho = random_density(rng, dim)
+            ref = float(np.trace(rho @ rho).real)
+            assert abs(purity(dm(rho, (dim,))) - ref) <= 1e-12
+
 
 class TestOperatorPredicates:
     def test_hermitian_and_unitary_checks(self):

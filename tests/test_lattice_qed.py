@@ -687,6 +687,8 @@ class TestConfigTable:
         ref = np.array(lattice_configurations(3, 1))
         np.testing.assert_array_equal(table.charges, ref[:, :3])
         np.testing.assert_array_equal(table.fields, ref[:, 3:])
+        assert all(array.dtype == np.float64 for array in table)
+        assert enumerate_basis(spec).dtype == physical_subspace(spec).configurations.dtype == np.int64
         assert _config_table(spec) is table
 
     def test_writing_into_results_changes_nothing(self):
