@@ -1,8 +1,10 @@
 """The ``qdeco`` command: dispatch, strict config handling, deterministic reports.
 
-Every numeric output is produced by exactly one library call; the CLI only
-tags units, assembles the report, and serializes it with stable key order and
-12-significant-digit floats, so identical invocations are byte-identical.
+Each runner calls the library and adds the few steps its report needs (the
+environment family of ``tripartite``, the oracle deviation of ``dephasing``,
+the string contrast and the identity trials of ``lattice``); the reports are
+serialized with stable key order and 12-significant-digit floats, so
+identical invocations are byte-identical.
 
 Exit codes: 0 success, 1 validation failure (bad physics input) or out of
 memory, 2 usage error.
@@ -109,24 +111,16 @@ def _to_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def emit_sweep(rows, header, fmt: str = "csv") -> str:
-    """Render numeric rows as CSV (header line first) or a JSON array of objects."""
+def emit_sweep(rows, header) -> str:
+    """Render numeric rows as CSV, header line first."""
     header = list(header)
-    rows = [tuple(r) for r in rows]
+    lines = [",".join(header)]
     for r in rows:
+        r = tuple(r)
         if len(r) != len(header):
             raise ValueError(f"row width {len(r)} does not match header width {len(header)}")
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_format_number(v) for v in r) for r in rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        objs = [
-            "  {" + ", ".join(f"{json.dumps(h)}: {_format_number(v)}" for h, v in zip(header, r)) + "}"
-            for r in rows
-        ]
-        return "[\n" + ",\n".join(objs) + "\n]" + "\n" if objs else "[]\n"
-    raise UsageError(f"unknown format {fmt!r}")
+        lines.append(",".join(_format_number(v) for v in r))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +536,7 @@ def _render(key, inputs, outputs, sweep, seed, fmt: str) -> str:
     if fmt == "csv":
         if sweep is not None:
             header, rows = sweep
-            return emit_sweep(rows, header, "csv")
+            return emit_sweep(rows, header)
         flat: dict[str, object] = {}
         for k in sorted(outputs):
             val = outputs[k]
@@ -553,7 +547,7 @@ def _render(key, inputs, outputs, sweep, seed, fmt: str) -> str:
                 flat[k] = int(val)
             else:
                 flat[k] = val
-        return emit_sweep([tuple(flat.values())], list(flat.keys()), "csv")
+        return emit_sweep([tuple(flat.values())], list(flat.keys()))
 
     report = {
         "tool": "qdeco",

@@ -57,7 +57,7 @@ class CorrelatedStateSpec:
 
     Environment states need not be orthogonal; the spec is only required to
     describe a normalized total state, which :func:`build_correlated_state`
-    verifies from the branch Gram matrices.
+    checks on the state it builds.
     """
 
     coefficients: np.ndarray
@@ -86,42 +86,26 @@ class CorrelatedStateSpec:
     def n_branches(self) -> int:
         return len(self.coefficients)
 
-    def total_norm_squared(self) -> float:
-        """<Psi|Psi> computed from the three per-factor Gram matrices."""
-        c = self.coefficients
-        n = len(c)
-        gram = np.outer(c.conj(), c)
-        for states in (self.system_states, self.apparatus_states, self.environment_states):
-            g = np.empty((n, n), dtype=np.complex128)
-            for i in range(n):
-                for j in range(n):
-                    g[i, j] = states[i].overlap(states[j])
-            gram *= g
-        return float(np.real(np.sum(gram)))
-
 
 def build_correlated_state(spec: CorrelatedStateSpec) -> StateVector:
     """Assemble sum_n c_n phi_n (x) Phi_n (x) env_n with layout (dim_S, dim_A, dim_E).
 
-    Raises :class:`NormalizationError` when the branch data do not describe a
-    unit-norm total state; non-orthogonal branches are accepted but never
-    silently renormalized.
+    Raises :class:`NormalizationError` when the state built from the branch
+    data does not have unit norm; non-orthogonal branches are accepted but
+    never silently renormalized.
     """
-    norm_sq = spec.total_norm_squared()
-    if abs(norm_sq - 1.0) > _NORM_TOL:
+    system, apparatus, environment = (
+        np.stack([s.amplitudes for s in states])
+        for states in (spec.system_states, spec.apparatus_states, spec.environment_states)
+    )
+    psi = np.einsum("n,ni,nj,nk->ijk", spec.coefficients, system, apparatus, environment)
+    norm = float(np.linalg.norm(psi))
+    if abs(norm**2 - 1.0) > _NORM_TOL:
         raise NormalizationError(
-            f"correlated state has norm {math.sqrt(max(norm_sq, 0.0)):.6f}, expected 1; "
+            f"correlated state has norm {norm:.6f}, expected 1; "
             "adjust the coefficients for the given branch overlaps"
         )
-    dim_s = spec.system_states[0].dim
-    dim_a = spec.apparatus_states[0].dim
-    dim_e = spec.environment_states[0].dim
-    total = np.zeros(dim_s * dim_a * dim_e, dtype=np.complex128)
-    for c, phi, app, env in zip(
-        spec.coefficients, spec.system_states, spec.apparatus_states, spec.environment_states
-    ):
-        total += c * np.kron(np.kron(phi.amplitudes, app.amplitudes), env.amplitudes)
-    return StateVector(TensorLayout((dim_s, dim_a, dim_e)), total)
+    return StateVector(TensorLayout(psi.shape), psi.ravel())
 
 
 def reduce_to_apparatus(psi: StateVector) -> DensityMatrix:
@@ -231,19 +215,19 @@ def _bath_energies(model: SpinBathModel) -> np.ndarray:
 def _bath_overlap(model: SpinBathModel, times: np.ndarray) -> np.ndarray:
     """sum_j w_j exp(-2i E_j t) at every time, over the distinct bath energies E_j.
 
-    ``w_j`` is the share of the 2^N bath basis states with energy E_j.  The
-    phase table is built ``_PHASE_BLOCK // K`` times at once (one time at least)
-    for K distinct energies, and its cosine and sine are summed separately:
-    that is cheaper than ``exp`` of a complex table.
+    ``w_j`` is the share of the 2^N bath basis states with energy E_j.  Flipping
+    every bath spin maps E to -E, so the energies come in +- pairs of equal
+    weight, the sine sum vanishes and the overlap is the real sum of
+    w_j cos(2 E_j t).  The phase table is built ``_PHASE_BLOCK // K`` times at
+    once (one time at least) for K distinct energies.
     """
     energies, counts = np.unique(_bath_energies(model), return_counts=True)
     weights = counts / counts.sum()
     rows = max(1, _PHASE_BLOCK // len(energies))
-    overlap = np.empty(len(times), dtype=np.complex128)
+    overlap = np.empty(len(times))
     for start in range(0, len(times), rows):
         phase = np.multiply.outer(-2.0 * times[start:start + rows], energies)
-        overlap.real[start:start + rows] = np.cos(phase) @ weights
-        overlap.imag[start:start + rows] = np.sin(phase) @ weights
+        overlap[start:start + rows] = np.cos(phase) @ weights
     return overlap
 
 
@@ -281,11 +265,16 @@ def spin_bath_evolve(model: SpinBathModel, times) -> DephasingCurve:
     return DephasingCurve(t_arr, np.clip(coherences, 0.0, 1.0), np.clip(entropies, 0.0, None))
 
 
-def binary_entropy(p: float) -> float:
-    """h(p) = -p ln p - (1-p) ln(1-p) in nats, with h(0) = h(1) = 0."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * math.log(p) - (1.0 - p) * math.log(1.0 - p))
+def binary_entropy(p):
+    """h(p) = -p ln p - (1-p) ln(1-p) in nats, and 0 for p outside (0, 1).
+
+    A scalar gives a ``float``; an array gives an array of the same shape.
+    """
+    p_arr = np.asarray(p, dtype=np.float64)
+    inside = (p_arr > 0.0) & (p_arr < 1.0)
+    q = np.where(inside, p_arr, 0.5)
+    h = np.where(inside, -q * np.log(q) - (1.0 - q) * np.log(1.0 - q), 0.0)
+    return float(h) if p_arr.ndim == 0 else h
 
 
 @dataclass(frozen=True)
@@ -309,7 +298,7 @@ def entropy_curve(curve: DephasingCurve) -> EntropyCheck:
     """
     if len(curve.times) == 0:
         raise ValueError("curve is empty")
-    expected = np.array([binary_entropy((1.0 - r) / 2.0) for r in curve.coherence])
+    expected = binary_entropy((1.0 - curve.coherence) / 2.0)
     max_dev = float(np.max(np.abs(expected - curve.entropy)))
 
     order = np.argsort(curve.coherence)

@@ -19,11 +19,13 @@ Gauge-invariant operators on an interior are worked out from their supports.
 Splitting every configuration into an interior part a and an exterior part e,
 a matrix unit |(a, e)><(b, e)| commutes with all constraints exactly when the
 two configurations agree in every divergence eigenvalue.  Summed over e, these
-units have pairwise disjoint supports, so the commutant is spanned by the
-projectors P_a and the Hermitized units of each pair a < b with at least one
-agreeing e, and no dense orthonormalization is needed.  The superselection
-report evaluates that basis on index tables, and the string operator is an
-index map, so neither builds a flat_dim x flat_dim matrix.
+units have pairwise disjoint supports, so one orthonormal basis of the
+commutant is the normalized projectors P_a, first, followed by the Hermitized
+units of each pair a < b with at least one agreeing e; no orthonormalization
+is needed.  The superselection report evaluates that basis on index tables,
+and the dense basis lists the same operators in the same order.  The string
+operator is an index map, so neither the report nor the string builds a
+flat_dim x flat_dim matrix.
 """
 
 from __future__ import annotations
@@ -435,7 +437,7 @@ def _basis_blocks(position: np.ndarray, code: np.ndarray):
     The first block holds the d_int projectors P_a (identity on the exterior),
     the others both Hermitized forms of each kept pair; every operator has unit
     Hilbert-Schmidt norm.  The supports are pairwise disjoint, so the operators
-    are orthogonal apart from the projectors, which sum to the identity.
+    are orthonormal; sqrt(d_ext) times the sum of the projectors is the identity.
     """
     d_ext = position.shape[1]
     yield lambda x, y: np.sum(x.conj() * y, axis=1) / math.sqrt(d_ext)
@@ -444,32 +446,20 @@ def _basis_blocks(position: np.ndarray, code: np.ndarray):
 
 
 def _commutant_basis(spec: LatticeSpec, factors: list[int]) -> list[Operator]:
-    """Orthonormal Hermitian operators on the given factors commuting with all constraints.
+    """The operators of :func:`_basis_blocks` as dense matrices, in the same order.
 
-    The operators are read off the support table.  A matrix unit joining
-    interior configurations a and b at one exterior configuration commutes
-    with every constraint exactly when the two configurations agree in all
-    constraint eigenvalues.  Off the diagonal, each pair a < b with at least
-    one such exterior configuration gives (U + U^dag) and i (U - U^dag), with
-    supports disjoint from all others.  On the diagonal, the projectors P_a are
-    orthonormalized in a-space with the identity first; the last one is left
-    out, since the identity is their sum.
+    First the d_int normalized projectors P_a, then (U + U^dag) and i (U - U^dag)
+    of each kept pair, normalized by the number of kept exterior configurations.
     """
     dim = spec.flat_dim
     if dim > DENSE_OPERATOR_LIMIT:
         raise ValueError(f"flat dimension {dim} exceeds dense bound {DENSE_OPERATOR_LIMIT}")
     position, code = _support_table(spec, factors)
-    d_int, d_ext = position.shape
-
-    seeds = np.concatenate([np.ones((d_int, 1)), np.eye(d_int)[:, :-1]], axis=1)
-    q, r = np.linalg.qr(seeds)
-    q *= np.sign(np.diag(r))  # the Gram-Schmidt signs: identity first, positive
     ops = []
-    for column in q.T:
-        diag = np.empty(dim)
-        diag[position] = column[:, None] / math.sqrt(d_ext)
-        ops.append(Operator(spec.layout, np.diag(diag)))
-
+    for rows in position:
+        entries = np.zeros((dim, dim), dtype=np.complex128)
+        entries[rows, rows] = 1.0 / math.sqrt(position.shape[1])
+        ops.append(Operator(spec.layout, entries))
     for a, b, keep in _kept_pairs(code):
         for i, j, k in zip(a, b, keep):
             rows, cols = position[i, k], position[j, k]
@@ -488,9 +478,11 @@ def gauge_invariant_local_basis(
     """Orthonormal Hermitian constraint-commuting operators on the interior.
 
     The interior is a set of ("site", x) / ("link", x) labels and must exclude
-    the boundary link; see :func:`maximal_interior`.  The identity comes
-    first.  Dense, so bounded by ``DENSE_OPERATOR_LIMIT``;
-    :func:`superselection_report` works from the supports instead.
+    the boundary link; see :func:`maximal_interior`.  The basis is the one
+    :func:`superselection_report` evaluates, in the same order: first the
+    d_int interior projectors P_a, each divided by sqrt(d_ext) (so sqrt(d_ext)
+    times their sum is the identity), then both Hermitized units of each pair.
+    Dense, so bounded by ``DENSE_OPERATOR_LIMIT``.
     """
     factors = _interior_factors(spec, interior, allow_boundary=False)
     return _commutant_basis(spec, factors)
@@ -534,18 +526,6 @@ class SuperselectionReport:
             and self.max_expectation_diff <= CROSS_ELEMENT_TOL
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "physical_dim": self.physical_dim,
-            "sector_plus": self.sector_plus,
-            "sector_minus": self.sector_minus,
-            "n_operators": self.n_operators,
-            "max_cross": self.max_cross,
-            "max_expectation_diff": self.max_expectation_diff,
-            "same_sector": self.same_sector,
-            "includes_boundary_link": self.includes_boundary_link,
-        }
-
 
 def superselection_report(
     spec: LatticeSpec,
@@ -561,10 +541,9 @@ def superselection_report(
     extended to the boundary link, which admits string operators that connect
     the sectors; this is the contrast case, not a locality statement.
 
-    The basis is that of :func:`gauge_invariant_local_basis` with the d_int
-    projectors P_a in place of their orthonormalized combinations (the same
-    span and count), each normalized; its matrix elements are computed from
-    the support table in blocks, without dense matrices.
+    The basis is that of :func:`gauge_invariant_local_basis`; its matrix
+    elements are computed from the support table in blocks, without dense
+    matrices.
     """
     subspace = physical_subspace(spec)
     decomp = charge_sectors(subspace)

@@ -7,6 +7,7 @@ independent computation.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -106,6 +107,14 @@ def evolve_dephasing(couplings, weights, t: float) -> np.ndarray:
     return np.exp(-1j * np.diag(h).real * t) * psi0
 
 
+def brute_correlated_state(coefficients, system, apparatus, environment) -> np.ndarray:
+    """sum_n c_n phi_n (x) Phi_n (x) env_n as a flat vector, one kron per branch."""
+    total = 0
+    for c, phi, app, env in zip(coefficients, system, apparatus, environment):
+        total = total + c * np.kron(np.kron(phi, app), env)
+    return total
+
+
 def brute_bath_overlap(couplings, times) -> np.ndarray:
     """mean_b exp(-2i e_b t) over all 2^N bath states, one time step at a time.
 
@@ -188,6 +197,28 @@ def brute_commutant_basis(sites: int, e_max: int, left_field: int, factors) -> l
         if norm > 1e-12:
             basis.append(vec / norm)
     return [b.reshape(dim, dim) for b in basis]
+
+
+def brute_operator_count(sites: int, e_max: int, left: int, boundary: bool = False) -> int:
+    """Number of gauge-invariant operators on all sites and links 1..N-1 (and N).
+
+    Two interior configurations are joined by a constraint-commuting matrix
+    unit at an exterior value exactly when they agree in every divergence:
+    those of sites 1..N-1 and, through the fixed exterior E_N, the sum
+    E_{N-1} + q_N (all N divergences when the boundary link is interior, so
+    nothing is exterior).  A class of n configurations gives n diagonal and
+    n(n-1) Hermitized off-diagonal operators, n^2 in all.
+    """
+    n_links = sites if boundary else sites - 1
+    classes: collections.Counter = collections.Counter()
+    for qs in itertools.product((-1, 0, 1), repeat=sites):
+        for es in itertools.product(range(-e_max, e_max + 1), repeat=n_links):
+            fields = (left,) + es
+            key = tuple(fields[x + 1] - fields[x] - qs[x] for x in range(n_links))
+            if not boundary:
+                key += (fields[-1] + qs[-1],)
+            classes[key] += 1
+    return sum(n * n for n in classes.values())
 
 
 def brute_wilson_line(sites: int, e_max: int, x: int) -> np.ndarray:

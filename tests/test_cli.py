@@ -19,27 +19,22 @@ def run_capture(capsys, argv):
 
 class TestEmitSweep:
     def test_single_row_csv(self):
-        text = emit_sweep([(1.0, 0.1)], ["t_s", "l_cm"], "csv")
+        text = emit_sweep([(1.0, 0.1)], ["t_s", "l_cm"])
         assert text == "t_s,l_cm\n1,0.1\n"
 
     def test_empty_rows_header_only(self):
-        assert emit_sweep([], ["a", "b"], "csv") == "a,b\n"
+        assert emit_sweep([], ["a", "b"]) == "a,b\n"
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
-            emit_sweep([(1.0, 2.0), (3.0,)], ["a", "b"], "csv")
-
-    def test_json_array_of_objects(self):
-        text = emit_sweep([(1.0, 0.5)], ["x", "y"], "json")
-        data = json.loads(text)
-        assert data == [{"x": 1.0, "y": 0.5}]
+            emit_sweep([(1.0, 2.0), (3.0,)], ["a", "b"])
 
     def test_csv_round_trip_at_12_digits(self):
         rows = [
             (t, math.cos(0.37 * t) ** 2, math.exp(-0.11 * t))
             for t in [k * 0.173 for k in range(100)]
         ]
-        text = emit_sweep(rows, ["t", "coherence", "entropy"], "csv")
+        text = emit_sweep(rows, ["t", "coherence", "entropy"])
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert len(parsed) == 100
         for row, (t, c, s) in zip(parsed, rows):

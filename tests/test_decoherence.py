@@ -29,6 +29,7 @@ from qdeco.hilbert import (
 
 from oracles import (
     brute_bath_overlap,
+    brute_correlated_state,
     direct_entropy,
     evolve_dephasing,
     random_state,
@@ -99,31 +100,26 @@ class TestBuildCorrelatedState:
             apparatus_states=[basis_state(2, 0), basis_state(2, 0)],
             environment_states=env_pair_with_overlap(0.25),
         )
-        assert abs(spec.total_norm_squared() - 1.25) <= 1e-12
         with pytest.raises(NormalizationError, match="1.118"):
             build_correlated_state(spec)
 
-    def test_gram_norm_matches_direct_construction(self):
+    def test_matches_kron_oracle(self):
+        # unequal weights and non-orthogonal branches in every factor
         rng = np.random.default_rng(61)
+        dims = (2, 3, 4)
+        amplitudes = [[random_state(rng, d) for _ in range(3)] for d in dims]
+        coeffs = np.array([0.5, 0.3 + 0.4j, 0.9])
+        coeffs /= np.linalg.norm(brute_correlated_state(coeffs, *amplitudes))
         spec = CorrelatedStateSpec(
-            coefficients=np.array([0.6, 0.8]),
-            system_states=[
-                StateVector(TensorLayout((2,)), random_state(rng, 2)) for _ in range(2)
-            ],
-            apparatus_states=[
-                StateVector(TensorLayout((3,)), random_state(rng, 3)) for _ in range(2)
-            ],
-            environment_states=[
-                StateVector(TensorLayout((2,)), random_state(rng, 2)) for _ in range(2)
-            ],
+            coeffs,
+            *[[StateVector(TensorLayout((d,)), a) for a in factor]
+              for d, factor in zip(dims, amplitudes)],
         )
-        direct = np.zeros(12, dtype=complex)
-        for c, s, a, e in zip(
-            spec.coefficients, spec.system_states, spec.apparatus_states,
-            spec.environment_states,
-        ):
-            direct += c * np.kron(np.kron(s.amplitudes, a.amplitudes), e.amplitudes)
-        assert abs(spec.total_norm_squared() - np.linalg.norm(direct) ** 2) <= 1e-12
+        psi = build_correlated_state(spec)
+        assert psi.layout.dims == dims
+        np.testing.assert_allclose(
+            psi.amplitudes, brute_correlated_state(coeffs, *amplitudes), rtol=0, atol=1e-13
+        )
 
     def test_rejects_mismatched_lists(self):
         with pytest.raises(ValueError):
@@ -391,6 +387,21 @@ class TestBathSpectrumSum:
         curve = spin_bath_evolve(model, times)
         assert np.max(np.abs(curve.coherence - np.abs(brute))) <= 1e-13
 
+    @pytest.mark.parametrize("kind", ["uniform", "distinct", "random"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_distinct_spectrum_is_bitwise_symmetric(self, n, kind):
+        # flipping every bath spin negates each energy exactly, which is why
+        # the sine sum vanishes and _bath_overlap keeps only the cosines
+        couplings = {
+            "uniform": np.full(n, 0.759641),
+            "distinct": np.linspace(0.2, 2.0, n),
+            "random": np.random.default_rng(800 + n).uniform(0.2, 2.0, size=n),
+        }[kind]
+        model = SpinBathModel(bath_size=n, couplings=couplings)
+        energies, counts = np.unique(decoherence._bath_energies(model), return_counts=True)
+        np.testing.assert_array_equal(energies, -energies[::-1])
+        np.testing.assert_array_equal(counts, counts[::-1])
+
     def test_evolution_sums_distinct_energies_in_blocks(self, monkeypatch):
         sizes = []
         cos = np.cos
@@ -452,6 +463,17 @@ class TestEntropyCurve:
         )
         check = entropy_curve(curve)
         assert check.passed and check.max_deviation <= 1e-12
+
+    def test_array_equals_scalar_calls(self):
+        grid = np.concatenate([
+            [-0.5, -1e-300, 0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5],
+            np.linspace(-0.1, 1.1, 241),
+        ])
+        scalars = [binary_entropy(float(p)) for p in grid]
+        assert all(type(h) is float for h in scalars)
+        np.testing.assert_array_equal(binary_entropy(grid), scalars)
+        np.testing.assert_array_equal(binary_entropy(grid.reshape(-1, 1)), np.c_[scalars])
+        assert binary_entropy(-0.5) == binary_entropy(1.5) == binary_entropy(1.0) == 0.0
 
     def test_two_path_agreement_at_frozen_value(self):
         # coherence is cos^8 = 0.9^8 at t = arccos(0.9)

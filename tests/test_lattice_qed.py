@@ -35,6 +35,7 @@ from qdeco.lattice_qed import (
 
 from oracles import (
     brute_commutant_basis,
+    brute_operator_count,
     brute_force_gauss_kernel,
     brute_gauss_eigenvalues,
     brute_wilson_line,
@@ -367,12 +368,12 @@ class TestGaugeInvariantLocalBasis:
             assert np.max(np.abs(op.entries - np.diag(np.diag(op.entries)))) <= 1e-14
 
     def test_identity_in_list(self):
+        # the first d_int operators are the interior projectors over sqrt(d_ext)
         spec = LatticeSpec(sites=1, e_max=1)
         ops = gauge_invariant_local_basis(spec, {("site", 1)})
-        first = ops[0].entries
-        scale = first[0, 0]
-        assert abs(scale) > 0
-        np.testing.assert_allclose(first, scale * np.eye(spec.flat_dim), atol=1e-14)
+        d_int, d_ext = 3, spec.link_dim
+        total = math.sqrt(d_ext) * sum(op.entries for op in ops[:d_int])
+        np.testing.assert_allclose(total, np.eye(spec.flat_dim), atol=1e-14)
 
     def test_all_commute_with_constraints(self):
         spec = LatticeSpec(sites=2, e_max=1)
@@ -603,19 +604,15 @@ class TestSupportFormParity:
     def test_report_elements_match_dense_operators(self, factors):
         spec = LatticeSpec(sites=2, e_max=1, left_field=1)
         position, code = _support_table(spec, factors)
-        d_int, d_ext = position.shape
+        d_int = position.shape[0]
         rng = np.random.default_rng(len(factors))
         x, y = (rng.normal(size=spec.flat_dim) + 1j * rng.normal(size=spec.flat_dim)
                 for _ in range(2))
         blocks = [block(x[position], y[position]) for block in _basis_blocks(position, code)]
+        assert len(blocks[0]) == d_int
 
-        projectors = np.zeros((d_int, spec.flat_dim))
-        projectors[np.arange(d_int)[:, None], position] = 1.0 / math.sqrt(d_ext)
-        np.testing.assert_allclose(blocks[0], projectors @ (x.conj() * y), atol=1e-13)
-
-        dense = _commutant_basis(spec, factors)[d_int:]
-        expected = [np.vdot(x, op.entries @ y) for op in dense]
-        np.testing.assert_allclose(np.concatenate(blocks[1:]), expected, atol=1e-13)
+        expected = [np.vdot(x, op.entries @ y) for op in _commutant_basis(spec, factors)]
+        np.testing.assert_allclose(np.concatenate(blocks), expected, rtol=0, atol=1e-13)
 
     def test_pair_blocks_do_not_change_the_pairs(self, monkeypatch):
         spec = LatticeSpec(sites=2, e_max=2)
@@ -713,3 +710,35 @@ class TestConfigTable:
         for name, make in producers.items():
             for got, want in zip(make(), before[name]):
                 np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+class TestOperatorCount:
+    """n_operators against a count of constraint classes that shares no code with the library."""
+
+    @staticmethod
+    def report(spec: LatticeSpec, boundary: bool = False):
+        sub = physical_subspace(spec)
+        psi = sub.embed(np.eye(1, sub.dim)[0])
+        return superselection_report(spec, psi, psi, include_boundary_link=boundary)
+
+    @pytest.mark.parametrize("left", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "sites,e_max", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
+    )
+    def test_interior_count(self, sites, e_max, left):
+        spec = LatticeSpec(sites=sites, e_max=e_max, left_field=left)
+        assert self.report(spec).n_operators == brute_operator_count(sites, e_max, left, False)
+
+    @pytest.mark.parametrize("left", [-1, 0, 1])
+    @pytest.mark.parametrize("sites,e_max", [(1, 1), (2, 1), (2, 2)])
+    def test_boundary_count(self, sites, e_max, left):
+        spec = LatticeSpec(sites=sites, e_max=e_max, left_field=left)
+        count = self.report(spec, boundary=True).n_operators
+        assert count == brute_operator_count(sites, e_max, left, True)
+
+    @pytest.mark.parametrize("sites,e_max,left", [(1, 1, 0), (1, 3, -1), (2, 1, 1)])
+    def test_dense_basis_has_the_same_count(self, sites, e_max, left):
+        spec = LatticeSpec(sites=sites, e_max=e_max, left_field=left)
+        dense = gauge_invariant_local_basis(spec, maximal_interior(spec))
+        assert len(dense) == self.report(spec).n_operators
+        assert len(dense) == brute_operator_count(sites, e_max, left, False)
