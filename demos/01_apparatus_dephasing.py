@@ -14,29 +14,18 @@ import math
 import numpy as np
 
 from qdeco.decoherence import (
-    CorrelatedStateSpec,
     SpinBathModel,
     build_correlated_state,
     entropy_curve,
     environment_overlap,
+    equal_overlap_spec,
     reduce_to_apparatus,
     spin_bath_coherence,
     spin_bath_evolve,
 )
-from qdeco.hilbert import StateVector, TensorLayout, basis_state, coherence_norm, von_neumann_entropy
+from qdeco.hilbert import coherence_norm, von_neumann_entropy
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def env_pair(overlap):
-    """Two unit environment states with the requested inner product."""
-    return [
-        StateVector(TensorLayout((2,)), np.array([1.0, 0.0], dtype=complex)),
-        StateVector(
-            TensorLayout((2,)),
-            np.array([overlap, math.sqrt(1.0 - overlap**2)], dtype=complex),
-        ),
-    ]
 
 
 print("=" * 72)
@@ -48,12 +37,8 @@ print("and the environment 'reads' the apparatus with varying fidelity.")
 print()
 print(f"{'<E0|E1>':>10} {'off-diagonal':>14} {'coherence':>11} {'entropy (nats)':>15}")
 for overlap in (1.0, 0.8, 0.5, 0.2, 0.0):
-    spec = CorrelatedStateSpec(
-        coefficients=np.array([INV_SQRT2, INV_SQRT2], dtype=complex),
-        system_states=[basis_state(2, 0), basis_state(2, 1)],
-        apparatus_states=[basis_state(2, 0), basis_state(2, 1)],
-        environment_states=env_pair(overlap),
-    )
+    # system and apparatus copy the branch; the environments overlap by `overlap`
+    spec = equal_overlap_spec([INV_SQRT2, INV_SQRT2], overlap)
     rho = reduce_to_apparatus(build_correlated_state(spec))
     block = abs(rho.entries[0, 3])  # between branches |00> and |11>
     print(

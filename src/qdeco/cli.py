@@ -1,13 +1,16 @@
-"""The ``qdeco`` command: dispatch, strict config handling, deterministic reports.
+"""The ``qdeco`` command: parsing, dispatch and deterministic reports.
 
-Each runner calls the library and adds the few steps its report needs (the
-environment family of ``tripartite``, the oracle deviation of ``dephasing``,
-the string contrast and the identity trials of ``lattice``); the reports are
-serialized with stable key order and 12-significant-digit floats, so
-identical invocations are byte-identical.
+Each runner takes the resolved parameters, which the report lists as its
+inputs, and returns its outputs.  The physics is in the library; two runners
+still reduce library results here.  ``lattice identity-check`` draws its gauge
+functions and takes the largest residuals, because perfbench traces
+``gauge_generator_diagonal`` as this module binds it.  ``dephasing`` takes the
+largest deviation of the evolution from the closed-form oracle, a check that
+compares two library results.  Reports have a stable key order and
+12-significant-digit floats, so identical invocations are byte-identical.
 
 Exit codes: 0 success, 1 validation failure (bad physics input) or out of
-memory, 2 usage error.
+memory, 2 usage error or an unwritable report.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import numpy as np
 
 from . import __version__
 from .decoherence import (
-    CorrelatedStateSpec,
+    ENTROPY_CHECK_TOL,
+    NORM_TOL,
     SpinBathModel,
-    entropy_curve,
     build_correlated_state,
+    entropy_curve,
+    equal_overlap_spec,
     reduce_to_apparatus,
     spin_bath_coherence,
     spin_bath_evolve,
@@ -41,17 +46,19 @@ from .field_decoherence import (
     thermal_coherence_length,
     validity_time,
 )
-from .hilbert import StateVector, TensorLayout, basis_state, coherence_norm, purity, von_neumann_entropy
+from .hilbert import coherence_norm, purity, von_neumann_entropy
 from .lattice_qed import (
+    CROSS_ELEMENT_TOL,
     GaugeFunction,
     LatticeSpec,
     boundary_decomposition_diagonals,
     charge_sectors,
     gauge_generator_diagonal,
     physical_subspace,
+    sector_state,
+    string_contrast,
     superselection_report,
     total_charge_diagonal,
-    _wilson_map,
 )
 from .units import si_efield_v_per_cm, si_time_s, si_volume_cm3
 
@@ -167,82 +174,6 @@ def _int_value(text: str) -> int:
         raise UsageError(f"expected an integer, got {text!r}") from exc
 
 
-COMMANDS: dict[tuple[str, ...], dict] = {
-    ("tripartite",): {
-        "help": "reduce a correlated system-apparatus-environment state",
-        "params": [
-            Param("--coeffs", _float_list, required=True, help="branch coefficients c0,c1,..."),
-            Param("--env-overlap", _float_value, required=True,
-                  help="pairwise overlap of distinct environment states"),
-        ],
-        "tolerances": {"state_norm": 1e-9},
-    },
-    ("dephasing",): {
-        "help": "central-spin dephasing curve with closed-form oracle",
-        "params": [
-            Param("--spins", _int_value, required=True, help="bath size"),
-            Param("--coupling", _float_list, required=True,
-                  help="coupling g, or comma list of per-spin couplings"),
-            Param("--t-max", _float_value, required=True, help="final time"),
-            Param("--steps", _int_value, required=True, help="number of time samples"),
-        ],
-        "tolerances": {"oracle_match": 1e-10, "entropy_check": 1e-9},
-    },
-    ("lattice", "superselect"): {
-        "help": "charge-sector indistinguishability report",
-        "params": [
-            Param("--sites", _int_value, required=True),
-            Param("--emax", _int_value, required=True),
-            Param("--left-field", _int_value, required=True),
-        ],
-        "tolerances": {"cross_element": 1e-12},
-    },
-    ("lattice", "identity-check"): {
-        "help": "surface-plus-bulk identity for random gauge functions",
-        "params": [
-            Param("--sites", _int_value, required=True),
-            Param("--emax", _int_value, required=True),
-            Param("--seed", _int_value, required=True),
-            Param("--left-field", _int_value, default=0),
-            Param("--trials", _int_value, default=50),
-        ],
-        "tolerances": {"identity_residual": 1e-12},
-    },
-    ("field", "factor"): {
-        "help": "interference suppression factor for a field superposition",
-        "params": [
-            Param("--volume-cm3", _float_value, required=True),
-            Param("--efield-v-per-cm", _float_value, required=True),
-        ],
-        "tolerances": {"conversion_round_trip": 1e-12},
-    },
-    ("field", "coherence-length"): {
-        "help": "length scale where field interference is suppressed",
-        "params": [
-            Param("--efield-v-per-cm", _float_value, required=True),
-            Param("--threshold", _float_value, default=1.0,
-                  help="suppression exponent defining 'decohered'"),
-        ],
-        "tolerances": {"conversion_round_trip": 1e-12},
-    },
-    ("field", "validity-time"): {
-        "help": "time beyond which the closed-form suppression applies",
-        "params": [
-            Param("--efield-v-per-cm", _float_value, required=True),
-        ],
-        "tolerances": {"conversion_round_trip": 1e-12},
-    },
-    ("thermal", "length"): {
-        "help": "electron coherence length in thermal radiation",
-        "params": [
-            Param("--time-s", _float_value, required=True),
-            Param("--lambda-cm2s", _float_value, default=100.0),
-        ],
-        "tolerances": {"conversion_round_trip": 1e-12},
-    },
-}
-
-
 # A value such as -1e7 or -0.6,0.8 after a flag is a negative number, not a
 # flag; argparse's own pattern knows only the forms -1 and -1.5.
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -319,53 +250,30 @@ def _resolve_params(key: tuple[str, ...], args: argparse.Namespace) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: return (inputs, outputs, sweep-or-None, seed)
+# experiment runners: take the resolved values, return (outputs, sweep-or-None)
 
 
 def _run_tripartite(v: dict):
-    coeffs = np.asarray(v["coeffs"], dtype=np.complex128)
-    overlap = float(v["env_overlap"])
-    n = len(coeffs)
-    if n < 2:
-        raise ValueError("need at least two branches to discuss interference")
-
-    gram = (1.0 - overlap) * np.eye(n) + overlap * np.ones((n, n))
-    w, vecs = np.linalg.eigh(gram)
-    if float(np.min(w)) < -1e-12:
-        raise ValueError(
-            f"overlap {overlap} does not define a valid environment family for {n} branches"
-        )
-    # rows of L are unit environment vectors with Gram matrix L L^T = gram
-    factor = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    layout = TensorLayout((n,))
-    envs = [StateVector(layout, factor[i].astype(np.complex128)) for i in range(n)]
-    spec = CorrelatedStateSpec(
-        coefficients=coeffs,
-        system_states=[basis_state(n, i) for i in range(n)],
-        apparatus_states=[basis_state(n, i) for i in range(n)],
-        environment_states=envs,
-    )
+    spec = equal_overlap_spec(v["coeffs"], v["env_overlap"])
     rho = reduce_to_apparatus(build_correlated_state(spec))
     outputs = {
         "coherence_norm": coherence_norm(rho),
         "entropy_nats": von_neumann_entropy(rho),
         "purity": purity(rho),
     }
-    inputs = {"coeffs": [float(c.real) for c in coeffs], "env_overlap": overlap}
-    return inputs, outputs, None, None
+    return outputs, None
 
 
 def _run_dephasing(v: dict):
-    n = int(v["spins"])
-    couplings = v["coupling"]
-    if len(couplings) == 1:
-        couplings = couplings * n
-    if len(couplings) != n:
-        raise ValueError(f"need 1 or {n} couplings, got {len(couplings)}")
+    n = v["spins"]
+    if len(v["coupling"]) == 1:
+        v["coupling"] = v["coupling"] * n
+    if len(v["coupling"]) != n:
+        raise ValueError(f"need 1 or {n} couplings, got {len(v['coupling'])}")
     if v["steps"] < 1:
         raise ValueError("steps must be >= 1")
-    model = SpinBathModel(bath_size=n, couplings=np.array(couplings))
-    times = np.linspace(0.0, float(v["t_max"]), int(v["steps"]))
+    model = SpinBathModel(bath_size=n, couplings=np.array(v["coupling"]))
+    times = np.linspace(0.0, v["t_max"], v["steps"])
     curve = spin_bath_evolve(model, times)
     oracle = spin_bath_coherence(model, curve.times)
     check = entropy_curve(curve)
@@ -376,27 +284,12 @@ def _run_dephasing(v: dict):
         "final_coherence": float(curve.coherence[-1]),
         "final_entropy_nats": float(curve.entropy[-1]),
     }
-    inputs = {
-        "spins": n,
-        "coupling": [float(g) for g in couplings],
-        "t_max": float(v["t_max"]),
-        "steps": int(v["steps"]),
-    }
-    sweep = (["t", "coherence", "entropy"], curve.rows())
-    return inputs, outputs, sweep, None
-
-
-def _uniform_sector_state(subspace, indices) -> StateVector:
-    coords = np.zeros(subspace.dim, dtype=np.complex128)
-    positions = np.searchsorted(subspace.basis, indices)
-    coords[positions] = 1.0 / math.sqrt(len(indices))
-    return subspace.embed(coords)
+    return outputs, (["t", "coherence", "entropy"], curve.rows())
 
 
 def _run_lattice_superselect(v: dict):
     spec = LatticeSpec(sites=v["sites"], e_max=v["emax"], left_field=v["left_field"])
-    subspace = physical_subspace(spec)
-    decomp = charge_sectors(subspace)
+    decomp = charge_sectors(physical_subspace(spec))
     charges = decomp.charges()
     if len(charges) < 2:
         raise ValueError("need at least two charge sectors for a superselection report")
@@ -404,49 +297,33 @@ def _run_lattice_superselect(v: dict):
         q_plus, q_minus = 1, -1
     else:
         q_plus, q_minus = charges[-1], charges[0]
-    psi_plus = _uniform_sector_state(subspace, decomp.sectors[q_plus])
-    psi_minus = _uniform_sector_state(subspace, decomp.sectors[q_minus])
-    report = superselection_report(spec, psi_plus, psi_minus)
-
-    # Contrast: a string operator reaching the boundary connects adjacent sectors.
-    adjacent = [(q, q + 1) for q in charges if q + 1 in decomp.sectors]
-    wilson_cross = 0.0
-    if adjacent:
-        q_lo, q_hi = adjacent[0]
-        lo = _uniform_sector_state(subspace, decomp.sectors[q_lo])
-        hi = _uniform_sector_state(subspace, decomp.sectors[q_hi])
-        for x in range(1, spec.sites + 1):
-            src, dst = _wilson_map(spec, x)
-            image = np.zeros_like(lo.amplitudes)
-            image[dst] = lo.amplitudes[src]
-            wilson_cross = max(wilson_cross, abs(np.vdot(hi.amplitudes, image)))
-
+    report = superselection_report(
+        spec, sector_state(decomp, q_plus), sector_state(decomp, q_minus)
+    )
     outputs = {
-        "physical_dim": subspace.dim,
+        "physical_dim": report.physical_dim,
         "sectors": {str(q): size for q, size in decomp.sector_sizes().items()},
         "n_operators": report.n_operators,
         "max_cross": report.max_cross,
         "max_expectation_diff": report.max_expectation_diff,
         "sector_plus": report.sector_plus,
         "sector_minus": report.sector_minus,
-        "wilson_contrast_cross": wilson_cross,
+        "wilson_contrast_cross": string_contrast(decomp),
     }
-    inputs = {"sites": v["sites"], "emax": v["emax"], "left_field": v["left_field"]}
-    return inputs, outputs, None, None
+    return outputs, None
 
 
 def _run_lattice_identity(v: dict):
     spec = LatticeSpec(sites=v["sites"], e_max=v["emax"], left_field=v["left_field"])
-    trials = int(v["trials"])
-    if trials < 1:
+    if v["trials"] < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(int(v["seed"]))
+    rng = np.random.default_rng(v["seed"])
     subspace = physical_subspace(spec)
     charge_phys = total_charge_diagonal(spec)[subspace.basis]
 
     max_identity = 0.0
     max_kernel = 0.0
-    for _ in range(trials):
+    for _ in range(v["trials"]):
         xi = GaugeFunction(
             values=rng.uniform(-1.0, 1.0, size=spec.sites),
             left_value=float(rng.uniform(-1.0, 1.0)),
@@ -469,14 +346,7 @@ def _run_lattice_identity(v: dict):
         "physical_dim": subspace.dim,
         "flat_dim": spec.flat_dim,
     }
-    inputs = {
-        "sites": v["sites"],
-        "emax": v["emax"],
-        "left_field": v["left_field"],
-        "seed": int(v["seed"]),
-        "trials": trials,
-    }
-    return inputs, outputs, None, int(v["seed"])
+    return outputs, None
 
 
 def _run_field_factor(v: dict):
@@ -486,8 +356,7 @@ def _run_field_factor(v: dict):
         "factor": decoherence_factor(volume, efield),
         "exponent": decoherence_exponent(volume, efield),
     }
-    inputs = {"volume_cm3": v["volume_cm3"], "efield_v_per_cm": v["efield_v_per_cm"]}
-    return inputs, outputs, None, None
+    return outputs, None
 
 
 def _run_field_coherence_length(v: dict):
@@ -497,8 +366,7 @@ def _run_field_coherence_length(v: dict):
         "length_cm": length.to("si").magnitude,
         "length_natural_inv_mev": length.magnitude,
     }
-    inputs = {"efield_v_per_cm": v["efield_v_per_cm"], "threshold": v["threshold"]}
-    return inputs, outputs, None, None
+    return outputs, None
 
 
 def _run_field_validity_time(v: dict):
@@ -508,31 +376,100 @@ def _run_field_validity_time(v: dict):
         "t_min_s": t_min.to("si").magnitude,
         "t_min_natural_inv_mev": t_min.magnitude,
     }
-    inputs = {"efield_v_per_cm": v["efield_v_per_cm"]}
-    return inputs, outputs, None, None
+    return outputs, None
 
 
 def _run_thermal_length(v: dict):
     model = ThermalModel(localization_rate=v["lambda_cm2s"])
     length = thermal_coherence_length(si_time_s(v["time_s"]), model)
-    outputs = {"length_cm": length.magnitude}
-    inputs = {"time_s": v["time_s"], "lambda_cm2s": v["lambda_cm2s"]}
-    return inputs, outputs, None, None
+    return {"length_cm": length.magnitude}, None
 
 
-RUNNERS = {
-    ("tripartite",): _run_tripartite,
-    ("dephasing",): _run_dephasing,
-    ("lattice", "superselect"): _run_lattice_superselect,
-    ("lattice", "identity-check"): _run_lattice_identity,
-    ("field", "factor"): _run_field_factor,
-    ("field", "coherence-length"): _run_field_coherence_length,
-    ("field", "validity-time"): _run_field_validity_time,
-    ("thermal", "length"): _run_thermal_length,
+COMMANDS: dict[tuple[str, ...], dict] = {
+    ("tripartite",): {
+        "help": "reduce a correlated system-apparatus-environment state",
+        "params": [
+            Param("--coeffs", _float_list, required=True, help="branch coefficients c0,c1,..."),
+            Param("--env-overlap", _float_value, required=True,
+                  help="pairwise overlap of distinct environment states"),
+        ],
+        "tolerances": {"state_norm": NORM_TOL},
+        "run": _run_tripartite,
+    },
+    ("dephasing",): {
+        "help": "central-spin dephasing curve with closed-form oracle",
+        "params": [
+            Param("--spins", _int_value, required=True, help="bath size"),
+            Param("--coupling", _float_list, required=True,
+                  help="coupling g, or comma list of per-spin couplings"),
+            Param("--t-max", _float_value, required=True, help="final time"),
+            Param("--steps", _int_value, required=True, help="number of time samples"),
+        ],
+        "tolerances": {"oracle_match": 1e-10, "entropy_check": ENTROPY_CHECK_TOL},
+        "run": _run_dephasing,
+    },
+    ("lattice", "superselect"): {
+        "help": "charge-sector indistinguishability report",
+        "params": [
+            Param("--sites", _int_value, required=True),
+            Param("--emax", _int_value, required=True),
+            Param("--left-field", _int_value, required=True),
+        ],
+        "tolerances": {"cross_element": CROSS_ELEMENT_TOL},
+        "run": _run_lattice_superselect,
+    },
+    ("lattice", "identity-check"): {
+        "help": "surface-plus-bulk identity for random gauge functions",
+        "params": [
+            Param("--sites", _int_value, required=True),
+            Param("--emax", _int_value, required=True),
+            Param("--seed", _int_value, required=True),
+            Param("--left-field", _int_value, default=0),
+            Param("--trials", _int_value, default=50),
+        ],
+        "tolerances": {"identity_residual": 1e-12},
+        "run": _run_lattice_identity,
+    },
+    ("field", "factor"): {
+        "help": "interference suppression factor for a field superposition",
+        "params": [
+            Param("--volume-cm3", _float_value, required=True),
+            Param("--efield-v-per-cm", _float_value, required=True),
+        ],
+        "tolerances": {"conversion_round_trip": 1e-12},
+        "run": _run_field_factor,
+    },
+    ("field", "coherence-length"): {
+        "help": "length scale where field interference is suppressed",
+        "params": [
+            Param("--efield-v-per-cm", _float_value, required=True),
+            Param("--threshold", _float_value, default=1.0,
+                  help="suppression exponent defining 'decohered'"),
+        ],
+        "tolerances": {"conversion_round_trip": 1e-12},
+        "run": _run_field_coherence_length,
+    },
+    ("field", "validity-time"): {
+        "help": "time beyond which the closed-form suppression applies",
+        "params": [
+            Param("--efield-v-per-cm", _float_value, required=True),
+        ],
+        "tolerances": {"conversion_round_trip": 1e-12},
+        "run": _run_field_validity_time,
+    },
+    ("thermal", "length"): {
+        "help": "electron coherence length in thermal radiation",
+        "params": [
+            Param("--time-s", _float_value, required=True),
+            Param("--lambda-cm2s", _float_value, default=100.0),
+        ],
+        "tolerances": {"conversion_round_trip": 1e-12},
+        "run": _run_thermal_length,
+    },
 }
 
 
-def _render(key, inputs, outputs, sweep, seed, fmt: str) -> str:
+def _render(key, values, outputs, sweep, fmt: str) -> str:
     if fmt == "csv":
         if sweep is not None:
             header, rows = sweep
@@ -552,11 +489,11 @@ def _render(key, inputs, outputs, sweep, seed, fmt: str) -> str:
     report = {
         "tool": "qdeco",
         "subcommand": " ".join(key),
-        "inputs": inputs,
+        "inputs": values,
         "outputs": outputs,
         "provenance": {
             "version": __version__,
-            "seed": seed,
+            "seed": values.get("seed"),
             "tolerances": COMMANDS[key]["tolerances"],
         },
     }
@@ -581,11 +518,8 @@ def run(argv: list[str]) -> int:
         return 2
 
     try:
-        inputs, outputs, sweep, seed = RUNNERS[args._key](values)
-        text = _render(args._key, inputs, outputs, sweep, seed, args._format)
-    except UsageError as exc:
-        print(f"qdeco: error: {exc}", file=sys.stderr)
-        return 2
+        outputs, sweep = COMMANDS[args._key]["run"](values)
+        text = _render(args._key, values, outputs, sweep, args._format)
     except ValueError as exc:
         print(f"qdeco: validation error: {exc}", file=sys.stderr)
         return 1
@@ -594,10 +528,14 @@ def run(argv: list[str]) -> int:
         print(f"qdeco: error: out of memory{detail}", file=sys.stderr)
         return 1
 
-    if args._out is not None:
-        Path(args._out).write_text(text)
-    else:
+    if args._out is None:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(args._out).write_text(text)
+    except OSError as exc:
+        print(f"qdeco: error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

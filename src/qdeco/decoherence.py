@@ -20,6 +20,7 @@ from .hilbert import (
     NormalizationError,
     StateVector,
     TensorLayout,
+    basis_state,
     density_spectrum,
     spectrum_entropy,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "SpinBathModel",
     "DephasingCurve",
     "EntropyCheck",
+    "equal_overlap_spec",
     "build_correlated_state",
     "reduce_to_apparatus",
     "environment_overlap",
@@ -38,7 +40,7 @@ __all__ = [
     "binary_entropy",
 ]
 
-_NORM_TOL = 1e-9
+NORM_TOL = 1e-9  # unit norm of a built state or of the system weights
 _MAX_BATH_SIZE = 12
 _PHASE_BLOCK = 2**14  # (time, energy) entries per block of the bath phase table
 ENTROPY_CHECK_TOL = 1e-9
@@ -87,6 +89,36 @@ class CorrelatedStateSpec:
         return len(self.coefficients)
 
 
+def equal_overlap_spec(coefficients, overlap: float) -> CorrelatedStateSpec:
+    """Branches |n> (x) |n> (x) |env_n> whose environments overlap pairwise by ``overlap``.
+
+    System and apparatus states are the basis states of an n-level factor.  The
+    environments are the rows of a factor L of the Gram matrix (1 - s) I + s J,
+    L L^T = Gram, taken from its eigendecomposition; they exist exactly when
+    that matrix is positive semidefinite, for -1/(n - 1) <= s <= 1.
+    """
+    coeffs = np.asarray(coefficients, dtype=np.complex128)
+    overlap = float(overlap)
+    n = len(coeffs)
+    if n < 2:
+        raise ValueError("need at least two branches to discuss interference")
+    gram = (1.0 - overlap) * np.eye(n) + overlap * np.ones((n, n))
+    w, vecs = np.linalg.eigh(gram)
+    if float(np.min(w)) < -1e-12:
+        raise ValueError(
+            f"overlap {overlap} does not define a valid environment family for {n} branches"
+        )
+    factor = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    layout = TensorLayout((n,))
+    branches = [basis_state(n, i) for i in range(n)]
+    return CorrelatedStateSpec(
+        coefficients=coeffs,
+        system_states=branches,
+        apparatus_states=branches,
+        environment_states=[StateVector(layout, row) for row in factor],
+    )
+
+
 def build_correlated_state(spec: CorrelatedStateSpec) -> StateVector:
     """Assemble sum_n c_n phi_n (x) Phi_n (x) env_n with layout (dim_S, dim_A, dim_E).
 
@@ -100,7 +132,7 @@ def build_correlated_state(spec: CorrelatedStateSpec) -> StateVector:
     )
     psi = np.einsum("n,ni,nj,nk->ijk", spec.coefficients, system, apparatus, environment)
     norm = float(np.linalg.norm(psi))
-    if abs(norm**2 - 1.0) > _NORM_TOL:
+    if abs(norm**2 - 1.0) > NORM_TOL:
         raise NormalizationError(
             f"correlated state has norm {norm:.6f}, expected 1; "
             "adjust the coefficients for the given branch overlaps"
@@ -158,7 +190,7 @@ class SpinBathModel:
             raise ValueError("couplings must be finite")
         object.__setattr__(self, "couplings", g)
         c0, c1 = complex(self.system_weights[0]), complex(self.system_weights[1])
-        if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > _NORM_TOL:
+        if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > NORM_TOL:
             raise NormalizationError("system weights must satisfy |c0|^2 + |c1|^2 = 1")
         object.__setattr__(self, "system_weights", (c0, c1))
 
@@ -191,6 +223,17 @@ class DephasingCurve:
         ]
 
 
+def _check_phase_range(model: SpinBathModel, t_arr: np.ndarray):
+    """Refuse times at which a bath phase would overflow double precision.
+
+    Every bath energy is at most E_max = N max|g| / 2 in size, so every phase
+    (2 E_j t, or g_k t in the closed form) is finite when 2 t_max E_max is.
+    """
+    e_max = model.bath_size * (float(np.max(np.abs(model.couplings))) / 2.0)
+    if not math.isfinite(2.0 * float(np.max(t_arr, initial=0.0)) * e_max):
+        raise ValueError("bath phase overflows: t_max N max|g| is not finite")
+
+
 def spin_bath_coherence(model: SpinBathModel, t):
     """Closed-form coherence prod_k |cos(g_k t)| of the central qubit.
 
@@ -200,6 +243,7 @@ def spin_bath_coherence(model: SpinBathModel, t):
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0):
         raise ValueError("time must be nonnegative")
+    _check_phase_range(model, t_arr)
     r = np.prod(np.abs(np.cos(np.multiply.outer(t_arr, model.couplings))), axis=-1)
     return float(r) if t_arr.ndim == 0 else r
 
@@ -247,6 +291,7 @@ def spin_bath_evolve(model: SpinBathModel, times) -> DephasingCurve:
     t_arr = np.asarray(times, dtype=np.float64).ravel()
     if np.any(t_arr < 0):
         raise ValueError("times must be nonnegative")
+    _check_phase_range(model, t_arr)
 
     c0, c1 = model.system_weights
     overlap = _bath_overlap(model, t_arr)

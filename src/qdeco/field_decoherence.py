@@ -62,6 +62,21 @@ class ThermalModel:
 DEFAULT_THERMAL_MODEL = ThermalModel()
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where it overflows (a float power raises instead)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _ratio(quantity: str, numerator: float, denominator: float) -> float:
+    """numerator / denominator; a ValueError naming ``quantity`` unless it is finite."""
+    if denominator == 0 or not math.isfinite(value := numerator / denominator):
+        raise ValueError(f"{quantity} overflows double precision")
+    return value
+
+
 def decoherence_exponent(volume, efield) -> float:
     """Positive exponent V e^2 E^2 / (512 pi m) in natural units."""
     v = to_natural(volume, VOLUME)
@@ -69,7 +84,8 @@ def decoherence_exponent(volume, efield) -> float:
     if v < 0:
         raise ValueError("volume must be nonnegative")
     c = CONSTANTS
-    return v * c.e**2 * e_field**2 / (_SUPPRESSION_DENOMINATOR * c.m_electron)
+    numerator = v * c.e**2 * _square(e_field)
+    return _ratio("decoherence exponent", numerator, _SUPPRESSION_DENOMINATOR * c.m_electron)
 
 
 def decoherence_factor(volume, efield) -> float:
@@ -107,9 +123,8 @@ def coherence_length(efield, threshold_exponent: float = 1.0) -> PhysicalQuantit
     if threshold_exponent <= 0:
         raise ValueError("threshold exponent must be positive")
     c = CONSTANTS
-    l_cubed = _SUPPRESSION_DENOMINATOR * c.m_electron * threshold_exponent / (
-        c.e**2 * e_field**2
-    )
+    numerator = _SUPPRESSION_DENOMINATOR * c.m_electron * threshold_exponent
+    l_cubed = _ratio("coherence length", numerator, c.e**2 * _square(e_field))
     return PhysicalQuantity(l_cubed ** (1.0 / 3.0), LENGTH, NATURAL)
 
 
@@ -119,7 +134,8 @@ def validity_time(efield) -> PhysicalQuantity:
     if e_field == 0:
         raise ValueError("validity time diverges for zero field")
     c = CONSTANTS
-    return PhysicalQuantity(c.m_electron / (c.e * abs(e_field)), TIME, NATURAL)
+    t_min = _ratio("validity time", c.m_electron, c.e * abs(e_field))
+    return PhysicalQuantity(t_min, TIME, NATURAL)
 
 
 def thermal_coherence_length(
@@ -132,4 +148,6 @@ def thermal_coherence_length(
     t_s = to_si(t, TIME)
     if t_s <= 0:
         raise ValueError("time must be positive")
-    return si_length_cm(1.0 / math.sqrt(model.localization_rate * t_s))
+    return si_length_cm(
+        _ratio("thermal coherence length", 1.0, math.sqrt(model.localization_rate * t_s))
+    )

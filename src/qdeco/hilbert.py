@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -31,14 +31,11 @@ __all__ = [
     "purity",
     "HERMITICITY_TOL",
     "TRACE_TOL",
-    "EIGEN_RESIDUAL_TOL",
 ]
 
-# Tolerances: Hermiticity/trace at 1e-10, eigensolver residual 1e-9.
 # Double precision leaves ample headroom at these dimensions.
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
-EIGEN_RESIDUAL_TOL = 1e-9
 _POSITIVITY_TOL = 1e-10
 _DIAG_FLOOR = 1e-30
 
@@ -66,27 +63,6 @@ class TensorLayout:
     @property
     def n_factors(self) -> int:
         return len(self.dims)
-
-    def flat_index(self, multi: Sequence[int]) -> int:
-        """Flat index of a multi-index (leftmost factor slowest-varying)."""
-        if len(multi) != len(self.dims):
-            raise ValueError("multi-index rank does not match layout")
-        idx = 0
-        for k, d in zip(multi, self.dims):
-            if not 0 <= k < d:
-                raise ValueError(f"multi-index {tuple(multi)} out of range for dims {self.dims}")
-            idx = idx * d + k
-        return idx
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        """Inverse of :meth:`flat_index`."""
-        if not 0 <= flat < self.flat_dim:
-            raise ValueError(f"flat index {flat} out of range for dimension {self.flat_dim}")
-        multi = []
-        for d in reversed(self.dims):
-            multi.append(flat % d)
-            flat //= d
-        return tuple(reversed(multi))
 
     def concat(self, other: "TensorLayout") -> "TensorLayout":
         return TensorLayout(self.dims + other.dims)
@@ -163,10 +139,6 @@ class Operator:
 
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
-
-    def is_unitary(self, tol: float = EIGEN_RESIDUAL_TOL) -> bool:
-        eye = np.eye(self.dim)
-        return bool(np.max(np.abs(self.entries.conj().T @ self.entries - eye)) <= tol)
 
     def __repr__(self):
         return f"Operator(dims={self.layout.dims}, dim={self.dim})"

@@ -49,10 +49,12 @@ __all__ = [
     "gauss_diagonal",
     "physical_subspace",
     "charge_sectors",
+    "sector_state",
     "gauge_generator_diagonal",
     "boundary_decomposition_diagonals",
     "total_charge_diagonal",
     "wilson_line",
+    "string_contrast",
     "maximal_interior",
     "gauge_invariant_local_basis",
     "superselection_report",
@@ -131,10 +133,6 @@ class GaugeFunction:
             raise ValueError("gauge function values must be finite")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def constant(cls, sites: int, value: float) -> "GaugeFunction":
-        return cls(np.full(sites, value), left_value=value, asymptotic_value=value)
-
 
 class _ConfigTable(NamedTuple):
     """Every configuration of one spec, in flat-index order; read-only float64 arrays.
@@ -212,12 +210,6 @@ class PhysicalSubspace:
         amps[self.basis] = coords
         return StateVector(self.spec.layout, amps)
 
-    def project(self, state: StateVector) -> np.ndarray:
-        """Coordinates of a full-space state in the physical basis."""
-        if state.dim != self.spec.flat_dim:
-            raise ValueError("state dimension does not match the lattice")
-        return state.amplitudes[self.basis].copy()
-
     def support_violation(self, state: StateVector) -> float:
         """Total weight of a state outside the physical subspace."""
         mask = np.ones(self.spec.flat_dim, dtype=bool)
@@ -257,6 +249,17 @@ def charge_sectors(subspace: PhysicalSubspace) -> SectorDecomposition:
         int(q): subspace.basis[charge_of == q] for q in np.unique(charge_of)
     }
     return SectorDecomposition(subspace, sectors)
+
+
+def sector_state(decomp: SectorDecomposition, q: int) -> StateVector:
+    """Equal-weight superposition of the physical configurations of charge ``q``."""
+    if q not in decomp.sectors:
+        raise ValueError(f"no charge-{q} sector; the charges are {decomp.charges()}")
+    spec = decomp.subspace.spec
+    indices = decomp.sectors[q]
+    amps = np.zeros(spec.flat_dim, dtype=np.complex128)
+    amps[indices] = 1.0 / math.sqrt(len(indices))
+    return StateVector(spec.layout, amps)
 
 
 def _gauge_arrays(spec: LatticeSpec, xi: GaugeFunction) -> np.ndarray:
@@ -330,8 +333,8 @@ def wilson_line(spec: LatticeSpec, x: int) -> Operator:
 
     Raises q_x by one and every link field on the string (links x..N) by one;
     matrix elements leaving the truncated ranges are dropped, so states at the
-    truncation edge are annihilated.  Without the dense matrix, apply
-    :func:`_wilson_map` to the amplitudes instead.
+    truncation edge are annihilated.  :func:`string_contrast` applies the same
+    string to amplitudes as an index map, without the dense matrix.
     """
     spec._check_site(x)
     dim = spec.flat_dim
@@ -341,6 +344,29 @@ def wilson_line(spec: LatticeSpec, x: int) -> Operator:
     entries = np.zeros((dim, dim), dtype=np.complex128)
     entries[dst, src] = 1.0
     return Operator(spec.layout, entries)
+
+
+def string_contrast(decomp: SectorDecomposition) -> float:
+    """Largest |<hi|W_x|lo>| over the string operators W_x of x = 1..N.
+
+    ``lo`` and ``hi`` are the :func:`sector_state` of the lowest charges q and
+    q + 1 that both have a sector.  A string reaching the boundary raises the
+    charge by one, so it connects them, which no interior operator does.  0 when
+    no two sectors are adjacent.
+    """
+    adjacent = [q for q in decomp.charges() if q + 1 in decomp.sectors]
+    if not adjacent:
+        return 0.0
+    spec = decomp.subspace.spec
+    lo = sector_state(decomp, adjacent[0]).amplitudes
+    hi = sector_state(decomp, adjacent[0] + 1).amplitudes
+    contrast = 0.0
+    for x in range(1, spec.sites + 1):
+        src, dst = _wilson_map(spec, x)
+        image = np.zeros_like(lo)
+        image[dst] = lo[src]
+        contrast = max(contrast, abs(np.vdot(hi, image)))
+    return contrast
 
 
 def maximal_interior(spec: LatticeSpec) -> frozenset[FactorLabel]:

@@ -7,8 +7,23 @@ import pytest
 
 import qdeco.cli as cli
 from qdeco.cli import emit_sweep, run
+from qdeco.decoherence import ENTROPY_CHECK_TOL, NORM_TOL
+from qdeco.lattice_qed import CROSS_ELEMENT_TOL
 
 from oracles import brute_force_gauss_kernel
+
+
+README_ARGVS = [
+    ["tripartite", "--coeffs", "0.7071067811865476,0.7071067811865476", "--env-overlap", "0.2"],
+    ["dephasing", "--spins", "8", "--coupling", "1.0", "--t-max", "6.0", "--steps", "100",
+     "--format", "csv"],
+    ["lattice", "superselect", "--sites", "2", "--emax", "1", "--left-field", "0"],
+    ["lattice", "identity-check", "--sites", "3", "--emax", "2", "--seed", "42"],
+    ["field", "factor", "--volume-cm3", "1e-12", "--efield-v-per-cm", "1e7"],
+    ["field", "coherence-length", "--efield-v-per-cm", "1e7"],
+    ["field", "validity-time", "--efield-v-per-cm", "1e7"],
+    ["thermal", "length", "--time-s", "1"],
+]
 
 
 def run_capture(capsys, argv):
@@ -149,12 +164,45 @@ class TestExitCodes:
         def exhausted(values):
             raise MemoryError("Unable to allocate 8.00 GiB for an array")
 
-        monkeypatch.setitem(cli.RUNNERS, ("thermal", "length"), exhausted)
+        monkeypatch.setitem(cli.COMMANDS[("thermal", "length")], "run", exhausted)
         code, out, err = run_capture(capsys, ["thermal", "length", "--time-s", "1"])
         assert code == 1
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "out of memory" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "coherence-length", "--efield-v-per-cm", "1e-300"],
+            ["field", "factor", "--volume-cm3", "1e300", "--efield-v-per-cm", "1e300"],
+            ["field", "validity-time", "--efield-v-per-cm", "1e-305"],
+            ["field", "coherence-length", "--efield-v-per-cm", "1e7", "--threshold", "1e308"],
+            ["dephasing", "--spins", "2", "--coupling", "1e300", "--t-max", "1e10",
+             "--steps", "3"],
+            ["thermal", "length", "--time-s", "1e-300", "--lambda-cm2s", "1e-300"],
+        ],
+    )
+    def test_out_of_range_result_is_one_validation_line(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("qdeco: validation error: ")
+        assert "overflows" in err
+        assert "serialize" not in err
+
+    def test_unwritable_out_is_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_capture(
+            capsys, ["thermal", "length", "--time-s", "1", "--out", str(target)]
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("qdeco: error: cannot write report: ")
+        assert not target.exists()
 
 
 class TestReports:
@@ -262,6 +310,23 @@ class TestReports:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv,name,constant",
+        [
+            (README_ARGVS[0], "state_norm", NORM_TOL),
+            (README_ARGVS[1][:-2], "entropy_check", ENTROPY_CHECK_TOL),
+            (README_ARGVS[2], "cross_element", CROSS_ELEMENT_TOL),
+        ],
+    )
+    def test_tolerances_are_the_library_constants(self, capsys, argv, name, constant):
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["provenance"]["tolerances"][name] == constant
+
+    def test_inputs_list_the_expanded_couplings(self, capsys):
+        _, out, _ = run_capture(capsys, README_ARGVS[1][:-2])
+        assert json.loads(out)["inputs"]["coupling"] == [1.0] * 8
+
     def test_scalar_csv_format(self, capsys):
         code, out, _ = run_capture(
             capsys, ["thermal", "length", "--time-s", "1", "--format", "csv"]
@@ -333,6 +398,19 @@ class TestConfigFile:
             capsys, ["thermal", "length", "--config", str(tmp_path / "nope.cfg")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("argv", README_ARGVS, ids=[" ".join(a[:2]) for a in README_ARGVS])
+    def test_config_report_matches_flags(self, capsys, tmp_path, argv):
+        start = next(i for i, a in enumerate(argv) if a.startswith("--"))
+        head, flags = argv[:start], dict(zip(argv[start::2], argv[start + 1::2]))
+        fmt = ["--format", flags.pop("--format")] if "--format" in flags else []
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{f[2:].replace('-', '_')} = {v}\n" for f, v in flags.items()))
+        code, from_flags, _ = run_capture(capsys, argv)
+        assert code == 0
+        code, from_config, err = run_capture(capsys, [*head, "--config", str(cfg), *fmt])
+        assert (code, err) == (0, "")
+        assert from_config == from_flags
 
     def test_malformed_line_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

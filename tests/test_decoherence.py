@@ -12,6 +12,7 @@ from qdeco.decoherence import (
     build_correlated_state,
     entropy_curve,
     environment_overlap,
+    equal_overlap_spec,
     reduce_to_apparatus,
     spin_bath_coherence,
     spin_bath_evolve,
@@ -240,6 +241,43 @@ class TestEnvironmentOverlap:
         spec = orthonormal_spec([1.0, 0.0], env_pair_with_overlap(0.3))
         with pytest.raises(ValueError):
             environment_overlap(spec, 0, 2)
+
+
+class TestEqualOverlapSpec:
+    @staticmethod
+    def gram(spec) -> np.ndarray:
+        envs = np.stack([e.amplitudes for e in spec.environment_states])
+        return envs.conj() @ envs.T
+
+    @pytest.mark.parametrize("n", [2, 3, 20, 28])
+    def test_gram_matrix_is_the_requested_family(self, n):
+        for s in (-1.0 / (n - 1), -0.5 / (n - 1), 0.0, 0.37, 1.0):
+            spec = equal_overlap_spec(np.full(n, n**-0.5), s)
+            want = (1.0 - s) * np.eye(n) + s * np.ones((n, n))
+            np.testing.assert_allclose(self.gram(spec), want, rtol=0, atol=1e-12)
+
+    def test_branches_are_basis_states(self):
+        spec = equal_overlap_spec([0.6, 0.8j, 0.0], 0.2)
+        np.testing.assert_array_equal(spec.coefficients, [0.6, 0.8j, 0.0])
+        for states in (spec.system_states, spec.apparatus_states):
+            np.testing.assert_array_equal(np.stack([b.amplitudes for b in states]), np.eye(3))
+
+    def test_coherence_is_the_overlap(self):
+        rho = reduce_to_apparatus(build_correlated_state(equal_overlap_spec([0.6, 0.8], 0.3)))
+        assert coherence_norm(rho) == pytest.approx(0.3, abs=1e-12)
+
+    def test_needs_two_branches(self):
+        with pytest.raises(ValueError) as exc:
+            equal_overlap_spec([1.0], 0.2)
+        assert str(exc.value) == "need at least two branches to discuss interference"
+
+    @pytest.mark.parametrize("n,overlap", [(4, -0.9), (2, -1.001), (3, -0.5 - 1e-6), (5, 1.001)])
+    def test_refuses_overlaps_outside_the_family(self, n, overlap):
+        with pytest.raises(ValueError) as exc:
+            equal_overlap_spec(np.full(n, n**-0.5), overlap)
+        assert str(exc.value) == (
+            f"overlap {overlap} does not define a valid environment family for {n} branches"
+        )
 
 
 class TestSpinBathCoherence:
@@ -526,3 +564,26 @@ class TestSpinBathModelValidation:
     def test_rejects_nonfinite_couplings(self):
         with pytest.raises(ValueError):
             SpinBathModel(bath_size=1, couplings=np.array([np.inf]))
+
+
+class TestPhaseRange:
+    """Times and couplings whose phases overflow are refused before any phase is formed."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "couplings,t_max",
+        [([1e300, 1e300], 1e10), ([1.0], 1e308), ([1e308] * 4, 1.0), ([0.0], 1e308)],
+    )
+    def test_overflowing_phases_are_refused(self, couplings, t_max):
+        model = SpinBathModel(bath_size=len(couplings), couplings=np.array(couplings))
+        for compute in (spin_bath_evolve, spin_bath_coherence):
+            with pytest.raises(ValueError, match="bath phase overflows"):
+                compute(model, np.array([0.0, t_max]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("couplings,t_max", [([1e150, 1e150], 1e150), ([1e308] * 3, 1e-300)])
+    def test_finite_phases_are_accepted(self, couplings, t_max):
+        model = SpinBathModel(bath_size=len(couplings), couplings=np.array(couplings))
+        curve = spin_bath_evolve(model, [0.0, t_max])
+        assert np.all(np.isfinite(curve.coherence))
+        assert np.all(np.isfinite(spin_bath_coherence(model, curve.times)))

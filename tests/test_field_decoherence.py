@@ -204,3 +204,32 @@ class TestThermalCoherenceLength:
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError):
             ThermalModel(localization_rate=0.0)
+
+
+class TestOutOfRange:
+    """Results beyond double precision are refused with the quantity's name."""
+
+    @pytest.mark.parametrize(
+        "quantity,compute",
+        [
+            ("decoherence exponent",
+             lambda: decoherence_exponent(si_volume_cm3(1e300), si_efield_v_per_cm(1e300))),
+            ("decoherence exponent",
+             lambda: decoherence_exponent(si_volume_cm3(0.0), si_efield_v_per_cm(1e300))),
+            ("coherence length", lambda: coherence_length(si_efield_v_per_cm(1e-300))),
+            ("coherence length",
+             lambda: coherence_length(FIELD_1E7, threshold_exponent=1e308)),
+            ("validity time", lambda: validity_time(si_efield_v_per_cm(1e-305))),
+            ("thermal coherence length",
+             lambda: thermal_coherence_length(si_time_s(1e-300), ThermalModel(1e-300))),
+        ],
+    )
+    def test_refused(self, quantity, compute):
+        with pytest.raises(ValueError) as exc:
+            compute()
+        assert str(exc.value) == f"{quantity} overflows double precision"
+
+    def test_large_finite_exponent_still_underflows_the_factor(self):
+        volume, field = si_volume_cm3(1e100), si_efield_v_per_cm(1e100)
+        assert math.isfinite(decoherence_exponent(volume, field))
+        assert decoherence_factor(volume, field) == 0.0

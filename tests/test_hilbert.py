@@ -41,32 +41,14 @@ class TestTensorLayout:
     def test_flat_dim(self):
         assert TensorLayout((2, 3, 4)).flat_dim == 24
 
-    def test_round_trip_is_bijection(self):
-        layout = TensorLayout((2, 3, 4))
-        seen = set()
-        for flat in range(layout.flat_dim):
-            multi = layout.multi_index(flat)
-            assert layout.flat_index(multi) == flat
-            seen.add(multi)
-        assert len(seen) == layout.flat_dim
-
     def test_leftmost_slowest(self):
-        layout = TensorLayout((2, 3))
-        assert layout.flat_index((1, 0)) == 3
-        assert layout.flat_index((0, 1)) == 1
+        amplitudes = tensor_product(basis_state(2, 1), basis_state(3, 0)).amplitudes
+        assert np.flatnonzero(amplitudes).tolist() == [3]
 
     @pytest.mark.parametrize("dims", [(), (0,), (2, -1)])
     def test_invalid_dims(self, dims):
         with pytest.raises(ValueError):
             TensorLayout(dims)
-
-    @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),
-           st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_property(self, dims, data):
-        layout = TensorLayout(tuple(dims))
-        flat = data.draw(st.integers(min_value=0, max_value=layout.flat_dim - 1))
-        assert layout.flat_index(layout.multi_index(flat)) == flat
 
 
 class TestTensorProduct:
@@ -339,14 +321,11 @@ class TestPurity:
 
 
 class TestOperatorPredicates:
-    def test_hermitian_and_unitary_checks(self):
+    def test_hermitian_check(self):
         h = Operator(TensorLayout((2,)), np.array([[1, 1j], [-1j, 0]], dtype=complex))
         assert h.is_hermitian()
-        u = Operator(TensorLayout((2,)), np.array([[0, 1], [1, 0]], dtype=complex))
-        assert u.is_unitary()
         skew = Operator(TensorLayout((2,)), np.array([[0, 1], [0, 0]], dtype=complex))
         assert not skew.is_hermitian()
-        assert not skew.is_unitary()
 
 
 class TestDensityMatrixInvariants:

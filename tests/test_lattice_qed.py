@@ -17,6 +17,8 @@ from qdeco.lattice_qed import (
     gauss_diagonal,
     maximal_interior,
     physical_subspace,
+    sector_state,
+    string_contrast,
     superselection_report,
     total_charge_diagonal,
     wilson_line,
@@ -169,7 +171,7 @@ class TestPhysicalSubspace:
         coords = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
         coords /= np.linalg.norm(coords)
         state = sub.embed(coords)
-        np.testing.assert_allclose(sub.project(state), coords, atol=1e-15)
+        np.testing.assert_allclose(state.amplitudes[sub.basis], coords, atol=1e-15)
         assert sub.support_violation(state) == 0.0
         # embedding is an isometry: distinct basis indices, norm preserved
         assert np.all(np.diff(sub.basis) > 0)
@@ -179,12 +181,12 @@ class TestPhysicalSubspace:
 class TestGaugeGenerator:
     def test_zero_gauge_function(self):
         spec = LatticeSpec(sites=2, e_max=1)
-        xi = GaugeFunction.constant(2, 0.0)
+        xi = GaugeFunction(np.zeros(2))
         assert np.max(np.abs(gauge_generator_diagonal(spec, xi))) == 0.0
 
     def test_constant_gauge_function_counts_charge(self):
         spec = LatticeSpec(sites=2, e_max=1)
-        xi = GaugeFunction.constant(2, 1.0)
+        xi = GaugeFunction(np.ones(2), left_value=1.0, asymptotic_value=1.0)
         diag = gauge_generator_diagonal(spec, xi)
         table = enumerate_basis(spec)
         total_site_charge = table[:, :2].sum(axis=1)
@@ -235,7 +237,7 @@ class TestGaugeGenerator:
 class TestBoundaryDecomposition:
     def test_zero_gauge_function(self):
         spec = LatticeSpec(sites=2, e_max=1)
-        xi = GaugeFunction.constant(2, 0.0)
+        xi = GaugeFunction(np.zeros(2))
         surface, bulk = boundary_decomposition_diagonals(spec, xi)
         assert np.max(np.abs(surface)) == 0.0
         assert np.max(np.abs(bulk)) == 0.0
@@ -357,6 +359,48 @@ class TestWilsonLine:
             for k in range(len(decomp.sectors[1]))
         ]
         assert max(overlaps) > 0.1
+
+
+def brute_sector_amplitudes(sites, e_max, left, charge) -> np.ndarray:
+    """Equal weights on the physical configurations whose boundary flux E_N - left is charge."""
+    configs = lattice_configurations(sites, e_max)
+    kernel = brute_force_gauss_kernel(sites, e_max, left)
+    members = [i for i, c in enumerate(configs) if c in kernel and c[-1] - left == charge]
+    amps = np.zeros(len(configs), dtype=complex)
+    amps[members] = 1.0 / math.sqrt(len(members))
+    return amps
+
+
+class TestSectorStates:
+    SPECS = [(1, 1, 0), (2, 1, 0), (2, 2, 1), (2, 2, -1)]
+
+    @pytest.mark.parametrize("sites,e_max,left", SPECS)
+    def test_sector_state_matches_brute_force(self, sites, e_max, left):
+        decomp = charge_sectors(physical_subspace(LatticeSpec(sites, e_max, left)))
+        for q in decomp.charges():
+            state = sector_state(decomp, q)
+            want = brute_sector_amplitudes(sites, e_max, left, q)
+            np.testing.assert_allclose(state.amplitudes, want, rtol=0, atol=1e-15)
+            assert abs(state.norm() - 1.0) <= 1e-14
+
+    def test_missing_sector_is_refused(self):
+        decomp = charge_sectors(physical_subspace(LatticeSpec(1, 1, 0)))
+        with pytest.raises(ValueError, match="no charge-2 sector"):
+            sector_state(decomp, 2)
+
+    @pytest.mark.parametrize("sites,e_max,left", SPECS)
+    def test_string_contrast_matches_dense_strings(self, sites, e_max, left):
+        kernel = brute_force_gauss_kernel(sites, e_max, left)
+        charges = {c[-1] - left for c in kernel}
+        q = min(c for c in charges if c + 1 in charges)
+        lo = brute_sector_amplitudes(sites, e_max, left, q)
+        hi = brute_sector_amplitudes(sites, e_max, left, q + 1)
+        want = max(
+            abs(np.vdot(hi, brute_wilson_line(sites, e_max, x) @ lo)) for x in range(1, sites + 1)
+        )
+        decomp = charge_sectors(physical_subspace(LatticeSpec(sites, e_max, left)))
+        assert want > 0.1
+        assert abs(string_contrast(decomp) - want) <= 1e-14
 
 
 class TestGaugeInvariantLocalBasis:
