@@ -74,8 +74,7 @@ print("4. Thermal-photon localization of free electrons")
 print("=" * 72)
 print()
 model = ThermalModel()
-print(f"Calibrated rate {model.localization_rate:.0f} cm^-2 s^-1 at "
-      f"{model.reference_temperature_k:.0f} K:")
+print(f"Calibrated rate {model.localization_rate:.0f} cm^-2 s^-1 at 300 K:")
 print()
 print(f"{'t (s)':>10} {'coherence length (cm)':>22}")
 for t in (0.01, 0.1, 1.0, 10.0, 100.0):

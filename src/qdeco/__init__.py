@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- :mod:`qdeco.hilbert`: dense tensor-product states, partial traces, spectra.
+- :mod:`qdeco.hilbert`: dense tensor-product states, density matrices, spectra.
 - :mod:`qdeco.decoherence`: correlated-state pipeline and the solvable
   central-spin dephasing bath.
 - :mod:`qdeco.lattice_qed`: truncated-link 1D electrodynamics, Gauss

@@ -143,9 +143,9 @@ def build_correlated_state(spec: CorrelatedStateSpec) -> StateVector:
 def reduce_to_apparatus(psi: StateVector) -> DensityMatrix:
     """Trace the environment out of |Psi><Psi|, keeping the (system, apparatus) pair.
 
-    Contracted directly from the state (reshape + Gram matrix), which is
-    equivalent to forming the projector and partial-tracing it but stays
-    cheap for large environment factors.
+    The state is reshaped into the (dim_S dim_A) x dim_E matrix M, and the
+    reduced state is M M^dag: its entries are the overlaps of the environment
+    components, so the projector |Psi><Psi| is never formed.
     """
     if psi.layout.n_factors != 3:
         raise ValueError(
@@ -286,7 +286,7 @@ def spin_bath_evolve(model: SpinBathModel, times) -> DephasingCurve:
     """
     if model.bath_size > _MAX_BATH_SIZE:
         raise ValueError(
-            f"bath_size {model.bath_size} exceeds dense-evolution bound {_MAX_BATH_SIZE}"
+            f"bath_size {model.bath_size} exceeds the 2^N bath-energy table bound {_MAX_BATH_SIZE}"
         )
     t_arr = np.asarray(times, dtype=np.float64).ravel()
     if np.any(t_arr < 0):
@@ -328,11 +328,6 @@ class EntropyCheck:
 
     max_deviation: float
     monotone_in_coherence: bool
-    n_points: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= ENTROPY_CHECK_TOL and self.monotone_in_coherence
 
 
 def entropy_curve(curve: DephasingCurve) -> EntropyCheck:
@@ -350,4 +345,4 @@ def entropy_curve(curve: DephasingCurve) -> EntropyCheck:
     s_sorted = curve.entropy[order]
     # Allow numerical wiggle when neighbouring coherences are nearly equal.
     monotone = bool(np.all(np.diff(s_sorted) <= 1e-9))
-    return EntropyCheck(max_dev, monotone, len(curve.times))
+    return EntropyCheck(max_dev, monotone)

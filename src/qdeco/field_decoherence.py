@@ -48,11 +48,10 @@ class ThermalModel:
 
     ``localization_rate`` is Lambda in cm^-2 s^-1; the default is calibrated
     so the coherence length after one second is exactly 0.1 cm at the 300 K
-    reference point.  Temperature enters only as a label.
+    reference point.
     """
 
     localization_rate: float = 100.0
-    reference_temperature_k: float = 300.0
 
     def __post_init__(self):
         if self.localization_rate <= 0:
@@ -75,6 +74,18 @@ def _ratio(quantity: str, numerator: float, denominator: float) -> float:
     if denominator == 0 or not math.isfinite(value := numerator / denominator):
         raise ValueError(f"{quantity} overflows double precision")
     return value
+
+
+def _field_magnitude(efield, quantity: str) -> float:
+    """|E| in natural units; a nonzero field lost in the conversion is not a zero field."""
+    e_field = abs(to_natural(efield, ELECTRIC_FIELD))
+    if not math.isfinite(e_field):
+        raise ValueError("electric field overflows double precision")
+    if e_field == 0:
+        if to_si(efield, ELECTRIC_FIELD) != 0:
+            raise ValueError("electric field underflows double precision")
+        raise ValueError(f"{quantity} diverges for zero field")
+    return e_field
 
 
 def decoherence_exponent(volume, efield) -> float:
@@ -114,40 +125,37 @@ def coherence_length(efield, threshold_exponent: float = 1.0) -> PhysicalQuantit
     """Edge length of the cube over which the suppression reaches the threshold.
 
     Solves V e^2 E^2 / (512 pi m) = threshold for V = L^3; the cube root makes
-    the answer insensitive to the exact threshold choice.  Returned in natural
-    units; convert to cm on request.
+    the answer insensitive to the exact threshold choice.  The roots come first,
+    L = (512 pi m threshold / e^2)^(1/3) / |E|^(2/3), so a length whose cube is
+    not a double is still found.  Returned in natural units; convert to cm on request.
     """
-    e_field = to_natural(efield, ELECTRIC_FIELD)
-    if e_field == 0:
-        raise ValueError("coherence length diverges for zero field")
+    e_field = _field_magnitude(efield, "coherence length")
     if threshold_exponent <= 0:
         raise ValueError("threshold exponent must be positive")
     c = CONSTANTS
     numerator = _SUPPRESSION_DENOMINATOR * c.m_electron * threshold_exponent
-    l_cubed = _ratio("coherence length", numerator, c.e**2 * _square(e_field))
-    return PhysicalQuantity(l_cubed ** (1.0 / 3.0), LENGTH, NATURAL)
+    volume_field = numerator / c.e**2  # L^3 E^2; inf here is refused below
+    length = _ratio("coherence length", volume_field ** (1.0 / 3.0), e_field ** (2.0 / 3.0))
+    return PhysicalQuantity(length, LENGTH, NATURAL)
 
 
 def validity_time(efield) -> PhysicalQuantity:
     """Time m/(eE) beyond which the closed-form suppression applies."""
-    e_field = to_natural(efield, ELECTRIC_FIELD)
-    if e_field == 0:
-        raise ValueError("validity time diverges for zero field")
+    e_field = _field_magnitude(efield, "validity time")
     c = CONSTANTS
-    t_min = _ratio("validity time", c.m_electron, c.e * abs(e_field))
+    t_min = _ratio("validity time", c.m_electron, c.e * e_field)
     return PhysicalQuantity(t_min, TIME, NATURAL)
 
 
 def thermal_coherence_length(
     t, model: ThermalModel = DEFAULT_THERMAL_MODEL
 ) -> PhysicalQuantity:
-    """Electron coherence length 1/sqrt(Lambda t) in thermal radiation.
+    """Electron coherence length 1/(sqrt(Lambda) sqrt(t)) in thermal radiation.
 
     Bare floats are taken as seconds; the result is an SI length in cm.
     """
     t_s = to_si(t, TIME)
     if t_s <= 0:
         raise ValueError("time must be positive")
-    return si_length_cm(
-        _ratio("thermal coherence length", 1.0, math.sqrt(model.localization_rate * t_s))
-    )
+    root = math.sqrt(model.localization_rate) * math.sqrt(t_s)
+    return si_length_cm(_ratio("thermal coherence length", 1.0, root))

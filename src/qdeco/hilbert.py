@@ -1,16 +1,15 @@
-"""Dense complex linear algebra on finite tensor-product Hilbert spaces.
+"""States, operators and density matrices on finite tensor-product Hilbert spaces.
 
 States and operators are stored flat; a :class:`TensorLayout` records the
 subsystem dimensions, with the leftmost factor slowest-varying in the flat
-index (numpy C order).  Everything here is a pure function over immutable
-values; target flat dimensions are a few hundred.
+index (numpy C order).  A :class:`DensityMatrix` keeps the spectrum that
+validated it; reduced states come from ``decoherence.reduce_to_apparatus``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable
 
 import numpy as np
 
@@ -22,8 +21,6 @@ __all__ = [
     "DensityMatrix",
     "basis_state",
     "tensor_product",
-    "outer_product",
-    "partial_trace",
     "density_spectrum",
     "spectrum_entropy",
     "von_neumann_entropy",
@@ -137,9 +134,6 @@ class Operator:
     def dim(self) -> int:
         return self.layout.flat_dim
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
-
     def __repr__(self):
         return f"Operator(dims={self.layout.dims}, dim={self.dim})"
 
@@ -206,46 +200,6 @@ def basis_state(dim: int, index: int) -> StateVector:
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product a (x) b; layouts concatenate, norms multiply."""
     return StateVector(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes))
-
-
-def outer_product(psi: StateVector) -> DensityMatrix:
-    """Projector |psi><psi| as a density matrix; requires unit norm."""
-    n = psi.norm()
-    if abs(n - 1.0) > HERMITICITY_TOL:
-        raise NormalizationError(f"outer_product needs a unit state, got norm {n!r}")
-    return DensityMatrix(psi.layout, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-
-
-def _normalize_keep(keep: Iterable[int], n_factors: int) -> tuple[int, ...]:
-    kept = sorted(set(int(k) for k in keep))
-    if not kept:
-        raise ValueError("keep set must not be empty")
-    if kept[0] < 0 or kept[-1] >= n_factors:
-        raise ValueError(f"keep indices {kept} out of range for {n_factors} factors")
-    return tuple(kept)
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out every factor not in ``keep``; kept dims stay in original order."""
-    dims = rho.layout.dims
-    kept = _normalize_keep(keep, len(dims))
-    traced = tuple(i for i in range(len(dims)) if i not in kept)
-    if not traced:
-        return DensityMatrix(rho.layout, rho.entries.copy())
-
-    n = len(dims)
-    tensor = rho.entries.reshape(dims + dims)
-    # Row axes 0..n-1, column axes n..2n-1; contract each traced pair.
-    row = list(range(n))
-    col = list(range(n, 2 * n))
-    for i in traced:
-        col[i] = row[i]
-    out_axes = [row[i] for i in kept] + [col[i] for i in kept]
-    reduced = np.einsum(tensor, row + col, out_axes)
-
-    kept_dims = tuple(dims[i] for i in kept)
-    d = int(np.prod(kept_dims))
-    return DensityMatrix(TensorLayout(kept_dims), reduced.reshape(d, d))
 
 
 def spectrum_entropy(p: np.ndarray) -> np.ndarray:

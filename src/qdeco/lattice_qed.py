@@ -45,7 +45,6 @@ __all__ = [
     "PhysicalSubspace",
     "SectorDecomposition",
     "SuperselectionReport",
-    "enumerate_basis",
     "gauss_diagonal",
     "physical_subspace",
     "charge_sectors",
@@ -175,12 +174,6 @@ def _enumerate(spec: LatticeSpec) -> _ConfigTable:
     for array in table:
         array.flags.writeable = False
     return table
-
-
-def enumerate_basis(spec: LatticeSpec) -> np.ndarray:
-    """All configurations as integer rows (q_1..q_N, E_1..E_N), in flat-index order."""
-    table = _config_table(spec)
-    return np.concatenate([table.charges, table.fields], axis=1).astype(np.int64)
 
 
 def gauss_diagonal(spec: LatticeSpec, x: int) -> np.ndarray:
@@ -541,16 +534,6 @@ class SuperselectionReport:
     n_operators: int
     max_cross: float
     max_expectation_diff: float
-    same_sector: bool
-    includes_boundary_link: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            not self.same_sector
-            and self.max_cross <= CROSS_ELEMENT_TOL
-            and self.max_expectation_diff <= CROSS_ELEMENT_TOL
-        )
 
 
 def superselection_report(
@@ -575,7 +558,6 @@ def superselection_report(
     decomp = charge_sectors(subspace)
     sector_plus = _sector_of(decomp, psi_plus)
     sector_minus = _sector_of(decomp, psi_minus)
-    same_sector = sector_plus == sector_minus
 
     interior = set(maximal_interior(spec))
     if include_boundary_link:
@@ -604,8 +586,6 @@ def superselection_report(
         n_operators=n_operators,
         max_cross=max_cross,
         max_expectation_diff=max_diff,
-        same_sector=same_sector,
-        includes_boundary_link=include_boundary_link,
     )
 
 

@@ -32,9 +32,7 @@ __all__ = [
     "si_length_cm",
     "si_time_s",
     "si_volume_cm3",
-    "si_efield_v_per_m",
     "si_efield_v_per_cm",
-    "natural",
     "efield_factor_via_ev_chain",
     "efield_factor_via_schwinger",
 ]
@@ -92,8 +90,6 @@ class ConstantsTable:
     m_electron: float = _M_ELECTRON_MEV          # MeV
     fine_structure: float = _ALPHA
     e: float = field(default=math.sqrt(4.0 * math.pi * _ALPHA))  # Heaviside-Lorentz
-    hbar_c_mev_fm: float = _HBARC_MEV_FM
-    hbar_mev_s: float = _HBAR_MEV_S
     # Frozen from efield_factor_via_ev_chain(); the Schwinger route agrees to ~1e-5.
     efield_mev2_per_v_per_m: float = field(default=efield_factor_via_ev_chain())
 
@@ -176,14 +172,6 @@ def si_volume_cm3(value: float) -> PhysicalQuantity:
     return PhysicalQuantity(value, VOLUME, SI)
 
 
-def si_efield_v_per_m(value: float) -> PhysicalQuantity:
-    return PhysicalQuantity(value, ELECTRIC_FIELD, SI)
-
-
 def si_efield_v_per_cm(value: float) -> PhysicalQuantity:
     # SI base unit for fields is V/m; the V/cm constructor only retags.
     return PhysicalQuantity(value * 100.0, ELECTRIC_FIELD, SI)
-
-
-def natural(value: float, dimension: str) -> PhysicalQuantity:
-    return PhysicalQuantity(value, dimension, NATURAL)

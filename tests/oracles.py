@@ -62,6 +62,16 @@ def brute_partial_trace(entries: np.ndarray, dims, keep) -> np.ndarray:
     return out
 
 
+def brute_reduced_state(amplitudes: np.ndarray, dims) -> np.ndarray:
+    """(system, apparatus) state of a pure three-factor state, by the dense route.
+
+    Forms the projector |psi><psi| with ``np.outer`` and traces the last factor
+    out with :func:`brute_partial_trace`.
+    """
+    projector = np.outer(amplitudes, np.conj(amplitudes))
+    return brute_partial_trace(projector, dims, (0, 1))
+
+
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)

@@ -175,13 +175,13 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["field", "coherence-length", "--efield-v-per-cm", "1e-300"],
+            ["field", "coherence-length", "--efield-v-per-cm", "1e-300", "--threshold", "1e300"],
             ["field", "factor", "--volume-cm3", "1e300", "--efield-v-per-cm", "1e300"],
             ["field", "validity-time", "--efield-v-per-cm", "1e-305"],
             ["field", "coherence-length", "--efield-v-per-cm", "1e7", "--threshold", "1e308"],
             ["dephasing", "--spins", "2", "--coupling", "1e300", "--t-max", "1e10",
              "--steps", "3"],
-            ["thermal", "length", "--time-s", "1e-300", "--lambda-cm2s", "1e-300"],
+            ["thermal", "length", "--time-s", "1e-310", "--lambda-cm2s", "1e-310"],
         ],
     )
     def test_out_of_range_result_is_one_validation_line(self, capsys, argv):
@@ -192,6 +192,30 @@ class TestExitCodes:
         assert err.startswith("qdeco: validation error: ")
         assert "overflows" in err
         assert "serialize" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv,key,expected",
+        [
+            (["field", "coherence-length", "--efield-v-per-cm", "1e300"], "length_cm",
+             2.5312910856e-199),
+            (["thermal", "length", "--time-s", "1e300", "--lambda-cm2s", "1e300"], "length_cm",
+             1e-300),
+        ],
+    )
+    def test_tiny_length_is_reported_not_zero(self, capsys, argv, key, expected):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outputs"][key] == pytest.approx(expected, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("command", ["coherence-length", "validity-time"])
+    def test_field_lost_in_conversion_is_not_a_zero_field(self, capsys, command):
+        code, out, err = run_capture(capsys, ["field", command, "--efield-v-per-cm", "1e-320"])
+        assert (code, out) == (1, "")
+        assert err == "qdeco: validation error: electric field underflows double precision\n"
+        code, out, err = run_capture(capsys, ["field", command, "--efield-v-per-cm", "0"])
+        assert (code, out) == (1, "")
+        assert err.endswith("diverges for zero field\n")
 
     def test_unwritable_out_is_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"

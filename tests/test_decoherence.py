@@ -23,14 +23,13 @@ from qdeco.hilbert import (
     TensorLayout,
     basis_state,
     coherence_norm,
-    outer_product,
-    partial_trace,
     tensor_product,
 )
 
 from oracles import (
     brute_bath_overlap,
     brute_correlated_state,
+    brute_reduced_state,
     direct_entropy,
     evolve_dephasing,
     random_state,
@@ -157,19 +156,34 @@ class TestReduceToApparatus:
         assert abs(coherence_norm(rho) - 0.2) <= 1e-12
 
     def test_matches_outer_product_partial_trace(self):
+        """Entries and spectrum against the dense projector traced by index loops.
+
+        Unequal complex weights and non-orthogonal branches, on both sides of
+        dim_E = dim_S dim_A: n branches of ``equal_overlap_spec`` (dim_E = n),
+        and two branches with random apparatus and 16-dimensional environment
+        states.
+        """
         rng = np.random.default_rng(67)
-        spec = CorrelatedStateSpec(
-            coefficients=np.array([0.6, 0.8]),
+
+        def weights(n):
+            c = rng.uniform(0.2, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+            return c / np.linalg.norm(c)
+
+        specs = [equal_overlap_spec(weights(n), 0.35) for n in (3, 4, 5)]
+        specs.append(CorrelatedStateSpec(
+            coefficients=weights(2),
             system_states=[basis_state(2, 0), basis_state(2, 1)],
-            apparatus_states=[basis_state(2, 0), basis_state(2, 1)],
-            environment_states=[
-                StateVector(TensorLayout((3,)), random_state(rng, 3)) for _ in range(2)
-            ],
-        )
-        psi = build_correlated_state(spec)
-        fast = reduce_to_apparatus(psi)
-        slow = partial_trace(outer_product(psi), {0, 1})
-        np.testing.assert_allclose(fast.entries, slow.entries, atol=1e-12)
+            apparatus_states=[StateVector(TensorLayout((2,)), random_state(rng, 2))
+                              for _ in range(2)],
+            environment_states=[StateVector(TensorLayout((16,)), random_state(rng, 16))
+                                for _ in range(2)],
+        ))
+        for spec in specs:
+            psi = build_correlated_state(spec)
+            rho = reduce_to_apparatus(psi)
+            dense = brute_reduced_state(psi.amplitudes, psi.layout.dims)
+            np.testing.assert_allclose(rho.entries, dense, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rho.spectrum, np.linalg.eigvalsh(dense), rtol=0, atol=1e-12)
 
     def test_offdiagonal_bound_random_branches(self):
         rng = np.random.default_rng(71)
@@ -389,7 +403,7 @@ class TestSpinBathEvolve:
         assert abs(curve.coherence[0] - spin_bath_coherence(model, t)) <= 1e-10
 
     def test_bath_size_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bath_size 13 exceeds the 2\^N bath-energy table"):
             spin_bath_evolve(SpinBathModel(bath_size=13, couplings=np.ones(13)), [0.0])
 
     def test_reduced_entropy_from_library_path(self):
@@ -500,7 +514,7 @@ class TestEntropyCurve:
             entropy=np.array([0.0, math.log(2.0)]),
         )
         check = entropy_curve(curve)
-        assert check.passed and check.max_deviation <= 1e-12
+        assert check.monotone_in_coherence and check.max_deviation <= 1e-12
 
     def test_array_equals_scalar_calls(self):
         grid = np.concatenate([

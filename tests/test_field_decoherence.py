@@ -17,7 +17,6 @@ from qdeco.units import (
     CONSTANTS,
     NATURAL,
     convert,
-    natural,
     si_efield_v_per_cm,
     si_time_s,
     si_volume_cm3,
@@ -27,6 +26,7 @@ from qdeco.units import (
 # E = 1e7 V/cm corresponds to 6.5163e-10 MeV^2, giving these reference outputs.
 LENGTH_AT_1E7_CM = 5.4535013e-4
 TMIN_AT_1E7_S = 1.7045089e-12
+HBAR_MEV_S = 6.582119569e-22  # CODATA hbar
 
 FIELD_1E7 = si_efield_v_per_cm(1.0e7)
 
@@ -141,7 +141,8 @@ class TestCoherenceLength:
     def test_solver_consistent_with_evaluator(self):
         for threshold in (0.5, 1.0, 3.0):
             length = coherence_length(FIELD_1E7, threshold_exponent=threshold)
-            factor = decoherence_factor(natural(length.magnitude**3, "volume"), FIELD_1E7)
+            # a bare float volume is taken in natural units, like the length
+            factor = decoherence_factor(length.magnitude**3, FIELD_1E7)
             assert abs(factor - math.exp(-threshold)) <= 1e-10
 
     def test_zero_field_rejected(self):
@@ -165,7 +166,7 @@ class TestValidityTime:
 
     def test_natural_times_hbar_is_seconds(self):
         t = validity_time(FIELD_1E7)
-        assert t.magnitude * CONSTANTS.hbar_mev_s == pytest.approx(
+        assert t.magnitude * HBAR_MEV_S == pytest.approx(
             convert(t, "si").magnitude, rel=1e-12
         )
 
@@ -216,18 +217,42 @@ class TestOutOfRange:
              lambda: decoherence_exponent(si_volume_cm3(1e300), si_efield_v_per_cm(1e300))),
             ("decoherence exponent",
              lambda: decoherence_exponent(si_volume_cm3(0.0), si_efield_v_per_cm(1e300))),
-            ("coherence length", lambda: coherence_length(si_efield_v_per_cm(1e-300))),
+            ("coherence length",
+             lambda: coherence_length(si_efield_v_per_cm(1e-300), threshold_exponent=1e300)),
             ("coherence length",
              lambda: coherence_length(FIELD_1E7, threshold_exponent=1e308)),
             ("validity time", lambda: validity_time(si_efield_v_per_cm(1e-305))),
             ("thermal coherence length",
-             lambda: thermal_coherence_length(si_time_s(1e-300), ThermalModel(1e-300))),
+             lambda: thermal_coherence_length(si_time_s(1e-310), ThermalModel(1e-310))),
         ],
     )
     def test_refused(self, quantity, compute):
         with pytest.raises(ValueError) as exc:
             compute()
         assert str(exc.value) == f"{quantity} overflows double precision"
+
+    @pytest.mark.parametrize("e_v_per_cm,rel", [(1e300, 1e-12), (1e-300, 1e-7)])
+    def test_coherence_length_where_its_cube_is_not_a_double(self, e_v_per_cm, rel):
+        # 1e-300 V/cm is a subnormal number of MeV^2, good to about 8 digits
+        law = LENGTH_AT_1E7_CM * (1e7 / e_v_per_cm) ** (2.0 / 3.0)
+        length = coherence_length(si_efield_v_per_cm(e_v_per_cm))
+        assert convert(length, "si").magnitude == pytest.approx(law, rel=1e-3, abs=0)
+        ratio = length.magnitude / coherence_length(FIELD_1E7).magnitude
+        assert ratio == pytest.approx((1e7 / e_v_per_cm) ** (2.0 / 3.0), rel=rel, abs=0)
+
+    @pytest.mark.parametrize("value,expected", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_thermal_length_where_lambda_t_is_not_a_double(self, value, expected):
+        length = thermal_coherence_length(si_time_s(value), ThermalModel(value))
+        assert length.magnitude == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("compute", [coherence_length, validity_time])
+    def test_field_lost_in_conversion_is_not_a_zero_field(self, compute):
+        with pytest.raises(ValueError, match="^electric field underflows double precision$"):
+            compute(si_efield_v_per_cm(1e-320))
+        with pytest.raises(ValueError, match="^electric field overflows double precision$"):
+            compute(si_efield_v_per_cm(1e307))
+        with pytest.raises(ValueError, match="diverges for zero field$"):
+            compute(si_efield_v_per_cm(0.0))
 
     def test_large_finite_exponent_still_underflows_the_factor(self):
         volume, field = si_volume_cm3(1e100), si_efield_v_per_cm(1e100)

@@ -5,23 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdeco.decoherence import reduce_to_apparatus
 from qdeco.hilbert import (
     DensityMatrix,
-    NormalizationError,
-    Operator,
     StateVector,
     TensorLayout,
     basis_state,
     coherence_norm,
     density_spectrum,
-    outer_product,
-    partial_trace,
     purity,
     tensor_product,
     von_neumann_entropy,
 )
 
-from oracles import brute_partial_trace, direct_entropy, random_density, random_state
+from oracles import brute_reduced_state, direct_entropy, random_density, random_state
 
 # Frozen expected values, computed directly from the defining formulas.
 ENTROPY_03_07 = 0.6108643020548935       # -(0.3 ln 0.3 + 0.7 ln 0.7)
@@ -35,6 +32,16 @@ def plus_state() -> StateVector:
 
 def dm(entries, dims) -> DensityMatrix:
     return DensityMatrix(TensorLayout(tuple(dims)), np.asarray(entries, dtype=np.complex128))
+
+
+def pure(amplitudes, dims) -> DensityMatrix:
+    """Reduced (system, apparatus) state of a pure three-factor state."""
+    return reduce_to_apparatus(StateVector(TensorLayout(tuple(dims)), amplitudes))
+
+
+def projector(psi: StateVector) -> DensityMatrix:
+    """|psi><psi|, as the reduction of psi (x) |0>_A (x) |0>_E over a trivial environment."""
+    return pure(psi.amplitudes, (psi.dim, 1, 1))
 
 
 class TestTensorLayout:
@@ -85,81 +92,57 @@ class TestTensorProduct:
 
 
 class TestOuterProduct:
+    """The projector |psi><psi|, reduced over a one-dimensional environment."""
+
     def test_basis_state(self):
-        rho = outer_product(basis_state(2, 0))
+        rho = projector(basis_state(2, 0))
         np.testing.assert_allclose(rho.entries, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_plus_state(self):
-        rho = outer_product(plus_state())
+        rho = projector(plus_state())
         np.testing.assert_allclose(rho.entries, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_unequal_weights(self):
         psi = StateVector(TensorLayout((2,)), np.array([math.sqrt(0.3), math.sqrt(0.7)]))
-        rho = outer_product(psi)
+        rho = projector(psi)
         np.testing.assert_allclose(np.diag(rho.entries).real, [0.3, 0.7], atol=1e-15)
         assert abs(rho.entries[0, 1] - SQRT_021) <= 1e-15
 
     def test_requires_unit_norm(self):
         psi = StateVector(TensorLayout((2,)), np.array([1.0, 1.0]))
-        with pytest.raises(NormalizationError):
-            outer_product(psi)
+        with pytest.raises(ValueError, match="density matrix trace"):
+            projector(psi)
 
 
 class TestPartialTrace:
+    """Pure three-factor states traced over the environment (the last factor)."""
+
     def test_bell_state(self):
-        bell = StateVector(
-            TensorLayout((2, 2)), np.array([1, 0, 0, 1]) / math.sqrt(2.0)
-        )
-        reduced = partial_trace(outer_product(bell), {0})
+        reduced = pure(np.array([1, 0, 0, 1]) / math.sqrt(2.0), (2, 1, 2))
         np.testing.assert_allclose(reduced.entries, np.eye(2) / 2.0, atol=1e-15)
 
     def test_product_state_recovers_factor(self):
         rng = np.random.default_rng(5)
-        sigma = random_density(rng, 2)
-        tau = random_density(rng, 3)
-        rho = dm(np.kron(sigma, tau), (2, 3))
-        reduced = partial_trace(rho, {0})
-        np.testing.assert_allclose(reduced.entries, sigma, atol=1e-12)
+        a, b = random_state(rng, 2), random_state(rng, 3)
+        reduced = pure(np.kron(a, b), (2, 1, 3))
+        np.testing.assert_allclose(reduced.entries, np.outer(a, a.conj()), atol=1e-12)
 
     def test_entangled_diagonal(self):
-        psi = StateVector(
-            TensorLayout((2, 2)),
-            np.array([math.sqrt(0.3), 0, 0, math.sqrt(0.7)]),
-        )
-        reduced = partial_trace(outer_product(psi), {0})
+        reduced = pure(np.array([math.sqrt(0.3), 0, 0, math.sqrt(0.7)]), (2, 1, 2))
         np.testing.assert_allclose(reduced.entries, np.diag([0.3, 0.7]), atol=1e-12)
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(17)
-        dims = (2, 3, 2)
-        rho = dm(random_density(rng, 12), dims)
-        for keep in [{0}, {1}, {2}, {0, 2}, {0, 1}]:
-            fast = partial_trace(rho, keep)
-            slow = brute_partial_trace(rho.entries, dims, keep)
-            np.testing.assert_allclose(fast.entries, slow, atol=1e-13)
+        for dims in [(2, 3, 2), (3, 2, 5), (1, 4, 3), (2, 2, 1)]:
+            psi = random_state(rng, int(np.prod(dims)))
+            np.testing.assert_allclose(pure(psi, dims).entries, brute_reduced_state(psi, dims),
+                                       atol=1e-13)
 
     def test_trace_and_positivity_preserved(self):
         rng = np.random.default_rng(23)
-        rho = dm(random_density(rng, 8), (2, 2, 2))
-        reduced = partial_trace(rho, {1})
+        reduced = pure(random_state(rng, 8), (2, 2, 2))
         assert abs(np.trace(reduced.entries) - 1.0) <= 1e-12
         assert np.min(np.linalg.eigvalsh(reduced.entries)) >= -1e-9
-
-    def test_order_independent(self):
-        rng = np.random.default_rng(29)
-        rho = dm(random_density(rng, 12), (2, 3, 2))
-        joint = partial_trace(rho, {1})
-        via_01 = partial_trace(partial_trace(rho, {0, 1}), {1})
-        via_12 = partial_trace(partial_trace(rho, {1, 2}), {0})
-        np.testing.assert_allclose(joint.entries, via_01.entries, atol=1e-12)
-        np.testing.assert_allclose(joint.entries, via_12.entries, atol=1e-12)
-
-    def test_errors(self):
-        rho = dm(np.eye(4) / 4.0, (2, 2))
-        with pytest.raises(ValueError):
-            partial_trace(rho, set())
-        with pytest.raises(ValueError):
-            partial_trace(rho, {2})
 
 
 class TestEigendecomposition:
@@ -246,7 +229,7 @@ class TestEigendecomposition:
 
 class TestEntropy:
     def test_pure_state(self):
-        assert von_neumann_entropy(outer_product(plus_state())) <= 1e-9
+        assert von_neumann_entropy(projector(plus_state())) <= 1e-9
 
     def test_maximally_mixed_qubit(self):
         assert abs(von_neumann_entropy(dm(np.eye(2) / 2.0, (2,))) - LN2) <= 1e-12
@@ -276,7 +259,7 @@ class TestEntropy:
         rng = np.random.default_rng(47)
         a = StateVector(TensorLayout((2,)), random_state(rng, 2))
         b = StateVector(TensorLayout((3,)), random_state(rng, 3))
-        reduced = partial_trace(outer_product(tensor_product(a, b)), {0})
+        reduced = pure(tensor_product(a, b).amplitudes, (2, 1, 3))
         assert von_neumann_entropy(reduced) <= 1e-9
 
 
@@ -285,7 +268,7 @@ class TestCoherenceNorm:
         assert coherence_norm(dm(np.diag([0.3, 0.7]), (2,))) == 0.0
 
     def test_pure_superposition(self):
-        assert abs(coherence_norm(outer_product(plus_state())) - 1.0) <= 1e-12
+        assert abs(coherence_norm(projector(plus_state())) - 1.0) <= 1e-12
 
     def test_partial_overlap(self):
         rho = dm([[0.5, 0.1], [0.1, 0.5]], (2,))
@@ -298,7 +281,7 @@ class TestCoherenceNorm:
 
 class TestPurity:
     def test_pure(self):
-        assert abs(purity(outer_product(plus_state())) - 1.0) <= 1e-12
+        assert abs(purity(projector(plus_state())) - 1.0) <= 1e-12
 
     def test_maximally_mixed(self):
         assert abs(purity(dm(np.eye(2) / 2.0, (2,))) - 0.5) <= 1e-12
@@ -318,14 +301,6 @@ class TestPurity:
             rho = random_density(rng, dim)
             ref = float(np.trace(rho @ rho).real)
             assert abs(purity(dm(rho, (dim,))) - ref) <= 1e-12
-
-
-class TestOperatorPredicates:
-    def test_hermitian_check(self):
-        h = Operator(TensorLayout((2,)), np.array([[1, 1j], [-1j, 0]], dtype=complex))
-        assert h.is_hermitian()
-        skew = Operator(TensorLayout((2,)), np.array([[0, 1], [0, 0]], dtype=complex))
-        assert not skew.is_hermitian()
 
 
 class TestDensityMatrixInvariants:
