@@ -16,6 +16,7 @@ import numpy as np
 
 from .hilbert import (
     _DIAG_FLOOR,
+    DENSE_OPERATOR_LIMIT,
     DensityMatrix,
     NormalizationError,
     StateVector,
@@ -145,16 +146,23 @@ def reduce_to_apparatus(psi: StateVector) -> DensityMatrix:
 
     The state is reshaped into the (dim_S dim_A) x dim_E matrix M, and the
     reduced state is M M^dag: its entries are the overlaps of the environment
-    components, so the projector |Psi><Psi| is never formed.
+    components, so the projector |Psi><Psi| is never formed.  M is passed on as
+    the factor of the :class:`DensityMatrix`, which takes the spectrum from
+    whichever Gram matrix of M is smaller.  A reduced state of dimension above
+    ``DENSE_OPERATOR_LIMIT`` is refused before it is formed.
     """
     if psi.layout.n_factors != 3:
         raise ValueError(
             f"expected a (system, apparatus, environment) layout, got {psi.layout.dims}"
         )
     dim_s, dim_a, dim_e = psi.layout.dims
-    m = psi.amplitudes.reshape(dim_s * dim_a, dim_e)
-    reduced = m @ m.conj().T
-    return DensityMatrix(TensorLayout((dim_s, dim_a)), reduced)
+    dim = dim_s * dim_a
+    if dim > DENSE_OPERATOR_LIMIT:
+        raise ValueError(
+            f"reduced state dimension {dim} exceeds dense bound {DENSE_OPERATOR_LIMIT}"
+        )
+    m = psi.amplitudes.reshape(dim, dim_e)
+    return DensityMatrix(TensorLayout((dim_s, dim_a)), m @ m.conj().T, factor=m)
 
 
 def environment_overlap(spec: CorrelatedStateSpec, n: int, m: int) -> complex:

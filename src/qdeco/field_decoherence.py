@@ -126,16 +126,17 @@ def coherence_length(efield, threshold_exponent: float = 1.0) -> PhysicalQuantit
 
     Solves V e^2 E^2 / (512 pi m) = threshold for V = L^3; the cube root makes
     the answer insensitive to the exact threshold choice.  The roots come first,
-    L = (512 pi m threshold / e^2)^(1/3) / |E|^(2/3), so a length whose cube is
-    not a double is still found.  Returned in natural units; convert to cm on request.
+    L = (512 pi m / e^2)^(1/3) threshold^(1/3) / |E|^(2/3), so a length whose
+    cube, or whose product with the threshold, is not a double is still found.
+    Returned in natural units; convert to cm on request.
     """
     e_field = _field_magnitude(efield, "coherence length")
     if threshold_exponent <= 0:
         raise ValueError("threshold exponent must be positive")
     c = CONSTANTS
-    numerator = _SUPPRESSION_DENOMINATOR * c.m_electron * threshold_exponent
-    volume_field = numerator / c.e**2  # L^3 E^2; inf here is refused below
-    length = _ratio("coherence length", volume_field ** (1.0 / 3.0), e_field ** (2.0 / 3.0))
+    volume_field = _SUPPRESSION_DENOMINATOR * c.m_electron / c.e**2  # L^3 E^2 at threshold 1
+    root = volume_field ** (1.0 / 3.0) * threshold_exponent ** (1.0 / 3.0)
+    length = _ratio("coherence length", root, e_field ** (2.0 / 3.0))
     return PhysicalQuantity(length, LENGTH, NATURAL)
 
 

@@ -8,7 +8,7 @@ validated it; reduced states come from ``decoherence.reduce_to_apparatus``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "purity",
     "HERMITICITY_TOL",
     "TRACE_TOL",
+    "DENSE_OPERATOR_LIMIT",
 ]
 
 # Double precision leaves ample headroom at these dimensions.
@@ -35,6 +36,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 _POSITIVITY_TOL = 1e-10
 _DIAG_FLOOR = 1e-30
+DENSE_OPERATOR_LIMIT = 2048  # largest flat dimension of an explicit dense matrix
+_HERMITICITY_BLOCK = 2**16  # entries per row block of the Hermiticity check
 
 
 class NormalizationError(ValueError):
@@ -138,15 +141,31 @@ class Operator:
         return f"Operator(dims={self.layout.dims}, dim={self.dim})"
 
 
+def _check_hermitian(entries: np.ndarray) -> None:
+    """Raise unless every matrix of ``entries`` ``(..., d, d)`` is Hermitian within tolerance.
+
+    The deviation is taken one block of rows at a time, from the block's
+    diagonal rightwards, so no second full-size array is formed and each pair
+    (j, k) is compared once; |a_jk - conj(a_kj)| is symmetric in j and k.
+    """
+    d = entries.shape[-1]
+    rows = max(1, _HERMITICITY_BLOCK // max(1, entries[..., :1, :].size))
+    blocks = (
+        entries[..., i : i + rows, i:] - np.swapaxes(entries[..., i:, i : i + rows], -1, -2).conj()
+        for i in range(0, d, rows)
+    )
+    # initial= lets an empty stack through; np.max keeps a NaN deviation
+    dev = np.max([np.max(np.abs(b), initial=0.0) for b in blocks], initial=0.0)
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
+
+
 def density_spectrum(entries: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a density matrix or a stack ``(..., d, d)``, from one ``eigvalsh``.
 
     Raises :class:`ValueError` unless every matrix is Hermitian, unit-trace and positive.
     """
-    # initial= lets an empty stack through
-    dev = np.max(np.abs(entries - np.swapaxes(entries, -1, -2).conj()), initial=0.0)
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
+    _check_hermitian(entries)
     tr = np.trace(entries, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0)
     if np.any(off > TRACE_TOL):
@@ -162,21 +181,36 @@ def density_spectrum(entries: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, unit-trace, positive matrix (all within fixed tolerances).
 
-    ``spectrum`` is the read-only spectrum that validation computed.
+    ``spectrum`` is the read-only ascending spectrum that validation computed.
+
+    ``factor`` is a matrix M with ``entries`` = M M^dag, which only
+    ``decoherence.reduce_to_apparatus`` passes.  When M has fewer columns than
+    rows, the spectrum is validated on the smaller Gram matrix M^dag M instead:
+    it has the same nonzero eigenvalues and the same trace ||M||^2 (Schmidt
+    decomposition), and is padded with zeros to the dimension of ``entries``,
+    which is then checked for Hermiticity alone.
     """
 
     layout: TensorLayout
     entries: np.ndarray
     spectrum: np.ndarray = field(init=False)
+    factor: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, factor):
         object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
-        if self.entries.shape[0] != self.layout.flat_dim:
+        dim = self.entries.shape[0]
+        if dim != self.layout.flat_dim:
             raise ValueError(
-                f"matrix dimension {self.entries.shape[0]} does not match "
+                f"matrix dimension {dim} does not match "
                 f"layout dimension {self.layout.flat_dim}"
             )
-        spectrum = density_spectrum(self.entries)
+        if factor is None or factor.shape[1] >= dim:
+            spectrum = density_spectrum(self.entries)
+        else:
+            _check_hermitian(self.entries)
+            small = density_spectrum(factor.conj().T @ factor)
+            # sorted after padding: the small spectrum can hold -1e-17 values
+            spectrum = np.sort(np.concatenate([small, np.zeros(dim - small.shape[0])]))
         spectrum.flags.writeable = False
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -216,16 +250,19 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def coherence_norm(rho: DensityMatrix) -> float:
     """Largest off-diagonal magnitude relative to its diagonal geometric mean.
 
-    Pairs whose diagonal product is below 1e-30 are skipped, so exact
-    diagonal matrices and matrices with empty branches both give 0.
+    Only rows with a positive diagonal entry take part, and pairs whose
+    diagonal product is below 1e-30 are skipped, so exact diagonal matrices
+    and matrices with empty branches both give 0.
     """
     diag = rho.entries.diagonal().real
-    weight = np.outer(diag, diag)
+    rows = np.flatnonzero(diag > 0.0)
+    weight = np.outer(diag[rows], diag[rows])
     mask = weight > _DIAG_FLOOR
     np.fill_diagonal(mask, False)
     if not mask.any():
         return 0.0
-    return float(np.max(np.abs(rho.entries[mask]) / np.sqrt(weight[mask])))
+    kept = rho.entries[np.ix_(rows, rows)]
+    return float(np.max(np.abs(kept[mask]) / np.sqrt(weight[mask])))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -37,7 +37,7 @@ from typing import Collection, NamedTuple
 
 import numpy as np
 
-from .hilbert import Operator, StateVector, TensorLayout
+from .hilbert import DENSE_OPERATOR_LIMIT, Operator, StateVector, TensorLayout
 
 __all__ = [
     "LatticeSpec",
@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 20000
-DENSE_OPERATOR_LIMIT = 2048
 CROSS_ELEMENT_TOL = 1e-12
 _SUPPORT_TOL = 1e-12
 _PAIR_BLOCK = 1 << 22  # (a, b, e) comparisons per block of _kept_pairs

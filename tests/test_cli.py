@@ -178,7 +178,7 @@ class TestExitCodes:
             ["field", "coherence-length", "--efield-v-per-cm", "1e-300", "--threshold", "1e300"],
             ["field", "factor", "--volume-cm3", "1e300", "--efield-v-per-cm", "1e300"],
             ["field", "validity-time", "--efield-v-per-cm", "1e-305"],
-            ["field", "coherence-length", "--efield-v-per-cm", "1e7", "--threshold", "1e308"],
+            ["field", "coherence-length", "--efield-v-per-cm", "1e-295", "--threshold", "1e308"],
             ["dephasing", "--spins", "2", "--coupling", "1e300", "--t-max", "1e10",
              "--steps", "3"],
             ["thermal", "length", "--time-s", "1e-310", "--lambda-cm2s", "1e-310"],
@@ -207,6 +207,13 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, argv)
         assert (code, err) == (0, "")
         assert json.loads(out)["outputs"][key] == pytest.approx(expected, rel=1e-11, abs=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_threshold_is_reported(self, capsys):
+        argv = ["field", "coherence-length", "--efield-v-per-cm", "1e7", "--threshold", "1e305"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outputs"]["length_cm"] == pytest.approx(2.5312910856e98, rel=1e-11)
 
     @pytest.mark.parametrize("command", ["coherence-length", "validity-time"])
     def test_field_lost_in_conversion_is_not_a_zero_field(self, capsys, command):
@@ -327,6 +334,21 @@ class TestReports:
         assert code == 0
         report = json.loads(out)
         assert report["outputs"]["coherence_norm"] == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("n,code", [(45, 0), (46, 1)])
+    def test_tripartite_reduced_state_bound(self, capsys, n, code):
+        # n branches reduce to an n^2 x n^2 state; the dense bound is 2048
+        coeffs = ",".join([repr(n**-0.5)] * n)
+        got, out, err = run_capture(capsys, ["tripartite", "--coeffs", coeffs, "--env-overlap", "0.3"])
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (
+                "qdeco: validation error: reduced state dimension 2116 exceeds dense bound 2048\n"
+            )
+        else:
+            assert err == ""
+            assert json.loads(out)["outputs"]["coherence_norm"] == pytest.approx(0.3, abs=1e-12)
 
     def test_tripartite_bad_coeffs_is_validation_error(self, capsys):
         code, _, _ = run_capture(

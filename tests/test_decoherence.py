@@ -131,6 +131,25 @@ class TestBuildCorrelatedState:
             )
 
 
+# Each case builds (psi, shape of the one eigvalsh call that reducing psi makes).
+SMALL_SIDE_CASES = {
+    "28-branches": lambda: (
+        build_correlated_state(equal_overlap_spec(np.full(28, 28**-0.5), 0.4)), (28, 28)
+    ),
+    # rank one: the 5x5 Gram spectrum holds rounding values of either sign
+    "5-branches-rank-one": lambda: (
+        build_correlated_state(equal_overlap_spec(np.full(5, 5**-0.5), 1.0)), (5, 5)
+    ),
+    # the environment is the larger side, so rho itself is diagonalised
+    "2x2x16": lambda: (
+        StateVector(TensorLayout((2, 2, 16)), random_state(np.random.default_rng(79), 64)), (4, 4)
+    ),
+    "projector-6x1x1": lambda: (
+        StateVector(TensorLayout((6, 1, 1)), random_state(np.random.default_rng(89), 6)), (1, 1)
+    ),
+}
+
+
 class TestReduceToApparatus:
     def test_orthonormal_environment_kills_coherence(self):
         spec = orthonormal_spec(
@@ -203,6 +222,47 @@ class TestReduceToApparatus:
     def test_requires_three_factors(self):
         with pytest.raises(ValueError):
             reduce_to_apparatus(basis_state(4, 0))
+
+    @pytest.mark.parametrize("case", sorted(SMALL_SIDE_CASES))
+    def test_one_eigvalsh_on_the_smaller_gram_matrix(self, monkeypatch, case):
+        psi, shape = SMALL_SIDE_CASES[case]()
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        reduce_to_apparatus(psi)
+        assert calls == [shape]
+
+    @pytest.mark.parametrize("case", sorted(SMALL_SIDE_CASES))
+    def test_padded_spectrum_is_the_spectrum_of_the_entries(self, case):
+        psi, _ = SMALL_SIDE_CASES[case]()
+        rho = reduce_to_apparatus(psi)
+        assert rho.spectrum.shape == (rho.dim,)
+        assert np.all(np.diff(rho.spectrum) >= 0)
+        assert not rho.spectrum.flags.writeable
+        np.testing.assert_allclose(
+            rho.spectrum, np.linalg.eigvalsh(rho.entries), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("dims", [(3, 3, 2), (2, 2, 16)])
+    def test_norm_sqrt2_refused_on_either_side(self, dims):
+        amplitudes = math.sqrt(2.0) * random_state(np.random.default_rng(83), math.prod(dims))
+        with pytest.raises(ValueError, match="^density matrix trace"):
+            reduce_to_apparatus(StateVector(TensorLayout(dims), amplitudes))
+
+    def test_refuses_a_reduced_state_over_the_dense_bound(self):
+        psi = StateVector(TensorLayout((2049, 1, 1)), np.ones(2049) / math.sqrt(2049))
+        with pytest.raises(ValueError) as exc:
+            reduce_to_apparatus(psi)
+        assert str(exc.value) == "reduced state dimension 2049 exceeds dense bound 2048"
 
 
 class TestEnvironmentOverlap:

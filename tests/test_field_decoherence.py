@@ -220,7 +220,7 @@ class TestOutOfRange:
             ("coherence length",
              lambda: coherence_length(si_efield_v_per_cm(1e-300), threshold_exponent=1e300)),
             ("coherence length",
-             lambda: coherence_length(FIELD_1E7, threshold_exponent=1e308)),
+             lambda: coherence_length(si_efield_v_per_cm(1e-295), threshold_exponent=1e308)),
             ("validity time", lambda: validity_time(si_efield_v_per_cm(1e-305))),
             ("thermal coherence length",
              lambda: thermal_coherence_length(si_time_s(1e-310), ThermalModel(1e-310))),
@@ -239,6 +239,14 @@ class TestOutOfRange:
         assert convert(length, "si").magnitude == pytest.approx(law, rel=1e-3, abs=0)
         ratio = length.magnitude / coherence_length(FIELD_1E7).magnitude
         assert ratio == pytest.approx((1e7 / e_v_per_cm) ** (2.0 / 3.0), rel=rel, abs=0)
+
+    def test_coherence_length_where_threshold_times_constant_is_not_a_double(self):
+        # 512 pi m threshold / e^2 overflows at threshold 1e305; L is about 2.5e98 cm
+        length = coherence_length(FIELD_1E7, threshold_exponent=1e305)
+        root = 1e305 ** (1.0 / 3.0)
+        assert convert(length, "si").magnitude == pytest.approx(LENGTH_AT_1E7_CM * root, rel=1e-3)
+        ratio = length.magnitude / coherence_length(FIELD_1E7).magnitude
+        assert ratio == pytest.approx(root, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("value,expected", [(1e300, 1e-300), (1e-300, 1e300)])
     def test_thermal_length_where_lambda_t_is_not_a_double(self, value, expected):

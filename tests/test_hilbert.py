@@ -172,6 +172,15 @@ class TestEigendecomposition:
         with pytest.raises(ValueError, match="not Hermitian"):
             density_spectrum(np.stack([np.eye(2) / 2.0, m]))
 
+    @pytest.mark.parametrize("j,k", [(250, 10), (10, 250), (299, 0), (299, 298)])
+    def test_rejects_non_hermitian_across_row_blocks(self, j, k):
+        # 300 x 300 spans two row blocks of the Hermiticity check
+        m = np.eye(300, dtype=complex) / 300.0
+        m[j, k] = 1e-3j
+        with pytest.raises(ValueError) as exc:
+            dm(m, (300,))
+        assert str(exc.value) == "density matrix not Hermitian: deviation 1.000e-03"
+
     def test_stack_equals_each_matrix(self):
         rng = np.random.default_rng(59)
         for dim in (2, 3, 6):
