@@ -317,6 +317,8 @@ def _run_lattice_identity(v: dict):
     spec = LatticeSpec(sites=v["sites"], e_max=v["emax"], left_field=v["left_field"])
     if v["trials"] < 1:
         raise ValueError("trials must be >= 1")
+    if v["seed"] < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(v["seed"])
     subspace = physical_subspace(spec)
     charge_phys = total_charge_diagonal(spec)[subspace.basis]

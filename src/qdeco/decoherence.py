@@ -120,25 +120,39 @@ def equal_overlap_spec(coefficients, overlap: float) -> CorrelatedStateSpec:
     )
 
 
+def _check_reduced_dim(dim: int):
+    """Refuse a (system, apparatus) reduced state above ``DENSE_OPERATOR_LIMIT``."""
+    if dim > DENSE_OPERATOR_LIMIT:
+        raise ValueError(
+            f"reduced state dimension {dim} exceeds dense bound {DENSE_OPERATOR_LIMIT}"
+        )
+
+
 def build_correlated_state(spec: CorrelatedStateSpec) -> StateVector:
     """Assemble sum_n c_n phi_n (x) Phi_n (x) env_n with layout (dim_S, dim_A, dim_E).
 
+    The branch sum is one matrix product: the rows c_n phi_n (x) Phi_n, as an
+    n x (dim_S dim_A) matrix, transposed and multiplied by the n x dim_E matrix
+    of environments.  A state whose reduction would exceed the dense bound of
+    :func:`reduce_to_apparatus` is refused before any branch data is stacked.
     Raises :class:`NormalizationError` when the state built from the branch
     data does not have unit norm; non-orthogonal branches are accepted but
     never silently renormalized.
     """
+    _check_reduced_dim(spec.system_states[0].dim * spec.apparatus_states[0].dim)
     system, apparatus, environment = (
         np.stack([s.amplitudes for s in states])
         for states in (spec.system_states, spec.apparatus_states, spec.environment_states)
     )
-    psi = np.einsum("n,ni,nj,nk->ijk", spec.coefficients, system, apparatus, environment)
+    branches = spec.coefficients[:, None, None] * system[:, :, None] * apparatus[:, None, :]
+    psi = branches.reshape(spec.n_branches, -1).T @ environment
     norm = float(np.linalg.norm(psi))
     if abs(norm**2 - 1.0) > NORM_TOL:
         raise NormalizationError(
             f"correlated state has norm {norm:.6f}, expected 1; "
             "adjust the coefficients for the given branch overlaps"
         )
-    return StateVector(TensorLayout(psi.shape), psi.ravel())
+    return StateVector(TensorLayout((*branches.shape[1:], environment.shape[1])), psi.ravel())
 
 
 def reduce_to_apparatus(psi: StateVector) -> DensityMatrix:
@@ -157,10 +171,7 @@ def reduce_to_apparatus(psi: StateVector) -> DensityMatrix:
         )
     dim_s, dim_a, dim_e = psi.layout.dims
     dim = dim_s * dim_a
-    if dim > DENSE_OPERATOR_LIMIT:
-        raise ValueError(
-            f"reduced state dimension {dim} exceeds dense bound {DENSE_OPERATOR_LIMIT}"
-        )
+    _check_reduced_dim(dim)
     m = psi.amplitudes.reshape(dim, dim_e)
     return DensityMatrix(TensorLayout((dim_s, dim_a)), m @ m.conj().T, factor=m)
 

@@ -26,13 +26,18 @@ is needed.  The superselection report evaluates that basis on index tables,
 and the dense basis lists the same operators in the same order.  The string
 operator is an index map, so neither the report nor the string builds a
 flat_dim x flat_dim matrix.
+
+Every index map is a view of one index grid, the flat indices reshaped to the
+factor dimensions (the C-order layout): the interior/exterior table is the
+grid with the interior factors transposed first, and the string maps the grid
+cut short by one value on each raised factor to the same cut one value up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from typing import Collection, NamedTuple
 
 import numpy as np
@@ -234,9 +239,8 @@ class SectorDecomposition:
 
 
 def charge_sectors(subspace: PhysicalSubspace) -> SectorDecomposition:
-    spec = subspace.spec
-    n = spec.sites
-    charge_of = subspace.configurations[:, 2 * n - 1] - spec.left_field
+    """Group the physical basis by its :func:`total_charge_diagonal` value."""
+    charge_of = total_charge_diagonal(subspace.spec)[subspace.basis]
     sectors = {
         int(q): subspace.basis[charge_of == q] for q in np.unique(charge_of)
     }
@@ -300,24 +304,28 @@ def total_charge_diagonal(spec: LatticeSpec) -> np.ndarray:
     return _config_table(spec).fields[:, -1] - spec.left_field
 
 
+def _index_grid(spec: LatticeSpec) -> np.ndarray:
+    """Flat configuration indices laid out on the factor dimensions (C order)."""
+    return np.arange(spec.flat_dim).reshape(spec.layout.dims)
+
+
 def _wilson_map(spec: LatticeSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
     """The string operator from site x as a map of flat indices ``src -> dst``.
 
-    The string raises q_x and the fields E_x..E_N by one, which shifts the flat
-    index by the layout strides of those factors.  Configurations at the
-    truncation edge (q_x = +1 or some E_y = e_max on the string) have no image
-    and are left out of ``src``; ``src`` is ascending.
+    The string raises q_x and the fields E_x..E_N by one: on the index grid,
+    ``src`` is the grid cut short by one value on each raised factor and
+    ``dst`` the same cut shifted up by one.  Configurations at the truncation
+    edge (q_x = +1 or some E_y = e_max on the string) have no image and are
+    left out of ``src``; ``src`` is ascending.
     """
     spec._check_site(x)
-    dims = spec.layout.dims
-    strides = np.cumprod((1,) + dims[:0:-1])[::-1]
     raised = [spec.site_factor(x)] + [spec.link_factor(y) for y in range(x, spec.sites + 1)]
-    ranges = [
-        np.arange(d - 1 if f in raised else d) * stride
-        for f, (d, stride) in enumerate(zip(dims, strides))
-    ]
-    src = reduce(np.add.outer, ranges).ravel()
-    return src, src + strides[raised].sum()
+    grid = _index_grid(spec)
+    lower = [slice(None)] * grid.ndim
+    upper = list(lower)
+    for f in raised:
+        lower[f], upper[f] = slice(None, -1), slice(1, None)
+    return grid[tuple(lower)].ravel(), grid[tuple(upper)].ravel()
 
 
 def wilson_line(spec: LatticeSpec, x: int) -> Operator:
@@ -368,16 +376,14 @@ def maximal_interior(spec: LatticeSpec) -> frozenset[FactorLabel]:
     return frozenset(labels)
 
 
-def _interior_factors(
-    spec: LatticeSpec, interior: Collection[FactorLabel], allow_boundary: bool
-) -> list[int]:
+def _interior_factors(spec: LatticeSpec, interior: Collection[FactorLabel]) -> list[int]:
     factors = []
     for label in interior:
         kind, x = label
         if kind == "site":
             factors.append(spec.site_factor(x))
         elif kind == "link":
-            if x == spec.sites and not allow_boundary:
+            if x == spec.sites:
                 raise ValueError("interior must not contain the boundary link")
             factors.append(spec.link_factor(x))
         else:
@@ -397,20 +403,11 @@ def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, n
     one integer, so two configurations agree in every constraint exactly when
     their codes are equal.
     """
-    charges, fields, divergence = _config_table(spec)
-    dims = spec.layout.dims
-    exterior = [f for f in range(len(dims)) if f not in factors]
-    multi = np.concatenate([charges + 1, fields + spec.e_max], axis=1).astype(np.int64)
-    int_dims = [dims[f] for f in factors]
-    ext_dims = [dims[f] for f in exterior]
-    int_code = np.ravel_multi_index(multi[:, factors].T, int_dims)
-    ext_code = (
-        np.ravel_multi_index(multi[:, exterior].T, ext_dims)
-        if exterior
-        else np.zeros(spec.flat_dim, dtype=np.int64)
-    )
-    position = np.empty((math.prod(int_dims), math.prod(ext_dims)), dtype=np.int64)
-    position[int_code, ext_code] = np.arange(spec.flat_dim)
+    divergence = _config_table(spec).divergence
+    grid = _index_grid(spec)
+    exterior = [f for f in range(grid.ndim) if f not in factors]
+    d_int = math.prod(grid.shape[f] for f in factors)
+    position = grid.transpose([*factors, *exterior]).reshape(d_int, -1)
 
     reach = 2 * spec.e_max + 1  # |E_x - E_{x-1} - q_x| <= 2 e_max + 1
     shifted = (divergence + reach).astype(np.int64)
@@ -502,7 +499,7 @@ def gauge_invariant_local_basis(
     times their sum is the identity), then both Hermitized units of each pair.
     Dense, so bounded by ``DENSE_OPERATOR_LIMIT``.
     """
-    factors = _interior_factors(spec, interior, allow_boundary=False)
+    factors = _interior_factors(spec, interior)
     return _commutant_basis(spec, factors)
 
 
@@ -558,10 +555,8 @@ def superselection_report(
     sector_plus = _sector_of(decomp, psi_plus)
     sector_minus = _sector_of(decomp, psi_minus)
 
-    interior = set(maximal_interior(spec))
-    if include_boundary_link:
-        interior.add(("link", spec.sites))
-    factors = _interior_factors(spec, interior, allow_boundary=include_boundary_link)
+    # every site and link factor, the boundary link (the last factor) only on request
+    factors = list(range(2 * spec.sites if include_boundary_link else 2 * spec.sites - 1))
     position, code = _support_table(spec, factors)
 
     plus = psi_plus.amplitudes[position]

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -224,6 +225,17 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.endswith("diverges for zero field\n")
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--seed", "-5", "seed must be >= 0"), ("--trials", "0", "trials must be >= 1")],
+    )
+    def test_identity_check_seed_and_trials_refused(self, capsys, flag, value, message):
+        argv = ["lattice", "identity-check", "--sites", "2", "--emax", "1", "--seed", "3",
+                flag, value]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"qdeco: validation error: {message}\n"
+
     def test_unwritable_out_is_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
         code, out, err = run_capture(
@@ -349,6 +361,23 @@ class TestReports:
         else:
             assert err == ""
             assert json.loads(out)["outputs"]["coherence_norm"] == pytest.approx(0.3, abs=1e-12)
+
+    def test_tripartite_over_the_bound_refused_before_the_state(self, capsys):
+        # 200 branches would build 200^3 complex amplitudes (128 MB) first
+        coeffs = ",".join([repr(200**-0.5)] * 200)
+        tracemalloc.start()
+        try:
+            got, out, err = run_capture(
+                capsys, ["tripartite", "--coeffs", coeffs, "--env-overlap", "0.3"]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got, out) == (1, "")
+        assert err == (
+            "qdeco: validation error: reduced state dimension 40000 exceeds dense bound 2048\n"
+        )
+        assert peak < 16 * 2**20
 
     def test_tripartite_bad_coeffs_is_validation_error(self, capsys):
         code, _, _ = run_capture(

@@ -121,6 +121,14 @@ class TestBuildCorrelatedState:
             psi.amplitudes, brute_correlated_state(coeffs, *amplitudes), rtol=0, atol=1e-13
         )
 
+    def test_refuses_a_reduction_over_the_dense_bound(self):
+        # one branch, but a 46 x 46 (system, apparatus) state would exceed 2048
+        big = [basis_state(46, 0)]
+        spec = CorrelatedStateSpec(np.array([1.0]), big, big, [basis_state(1, 0)])
+        message = "^reduced state dimension 2116 exceeds dense bound 2048$"
+        with pytest.raises(ValueError, match=message):
+            build_correlated_state(spec)
+
     def test_rejects_mismatched_lists(self):
         with pytest.raises(ValueError):
             CorrelatedStateSpec(

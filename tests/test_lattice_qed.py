@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -448,6 +450,20 @@ class TestGaugeInvariantLocalBasis:
             gauge_invariant_local_basis(spec, {("site", 1), ("link", 2)})
 
 
+    @pytest.mark.parametrize(
+        "interior,message",
+        [
+            (set(), "interior must not be empty"),
+            ({("site", 1), ("plaquette", 1)}, "unknown factor label ('plaquette', 1)"),
+            ({("site", 1), ("link", 2)}, "interior must not contain the boundary link"),
+        ],
+        ids=["empty", "unknown-label", "boundary-link"],
+    )
+    def test_refusal_messages(self, interior, message):
+        spec = LatticeSpec(sites=2, e_max=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gauge_invariant_local_basis(spec, interior)
+
 class TestSuperselectionReport:
     def test_clean_report_two_sites(self):
         spec = LatticeSpec(sites=2, e_max=1)
@@ -642,6 +658,37 @@ class TestSupportFormParity:
             assert report.max_expectation_diff == pytest.approx(ref_diff, rel=1e-12)
         else:
             assert max(values) <= 1e-12
+
+    @pytest.mark.parametrize("sites,e_max", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
+    def test_support_table_matches_enumeration(self, sites, e_max):
+        spec = LatticeSpec(sites=sites, e_max=e_max, left_field=1)
+        configs = lattice_configurations(sites, e_max)
+        table = np.array(configs)
+        classes = {}  # divergence tuple -> class label, in order of first appearance
+        labels = np.array([
+            classes.setdefault(brute_gauss_eigenvalues(c, sites, 1), len(classes))
+            for c in configs
+        ])
+        ranges = [range(-1, 2)] * sites + [range(-e_max, e_max + 1)] * sites
+        for r in range(2 * sites + 1):
+            for factors in itertools.combinations(range(2 * sites), r):
+                exterior = [f for f in range(2 * sites) if f not in factors]
+                inner = np.array(list(itertools.product(*(ranges[f] for f in factors))))
+                outer = np.array(list(itertools.product(*(ranges[f] for f in exterior))))
+                position, code = _support_table(spec, list(factors))
+                assert position.shape == code.shape == (len(inner), len(outer))
+                # row a runs over the interior values, column e over the exterior ones
+                joined = table[position]
+                shape = position.shape
+                np.testing.assert_array_equal(
+                    joined[..., list(factors)], np.broadcast_to(inner[:, None], (*shape, r))
+                )
+                np.testing.assert_array_equal(
+                    joined[..., exterior], np.broadcast_to(outer[None], (*shape, len(exterior)))
+                )
+                # equal codes exactly when the divergences agree
+                pairs = set(zip(code.ravel().tolist(), labels[position].ravel().tolist()))
+                assert len(pairs) == len(set(code.ravel().tolist())) == len(classes)
 
     @pytest.mark.parametrize("factors", [[0, 1, 2], [0, 2, 3], [1, 3]])
     def test_report_elements_match_dense_operators(self, factors):
