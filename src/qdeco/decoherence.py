@@ -96,13 +96,16 @@ def equal_overlap_spec(coefficients, overlap: float) -> CorrelatedStateSpec:
     System and apparatus states are the basis states of an n-level factor.  The
     environments are the rows of a factor L of the Gram matrix (1 - s) I + s J,
     L L^T = Gram, taken from its eigendecomposition; they exist exactly when
-    that matrix is positive semidefinite, for -1/(n - 1) <= s <= 1.
+    that matrix is positive semidefinite, for -1/(n - 1) <= s <= 1.  A spec whose
+    n^2 x n^2 reduced state exceeds the dense bound is refused on the branch
+    count, before the Gram matrix is formed.
     """
     coeffs = np.asarray(coefficients, dtype=np.complex128)
     overlap = float(overlap)
     n = len(coeffs)
     if n < 2:
         raise ValueError("need at least two branches to discuss interference")
+    _check_reduced_dim(n * n)
     gram = (1.0 - overlap) * np.eye(n) + overlap * np.ones((n, n))
     w, vecs = np.linalg.eigh(gram)
     if float(np.min(w)) < -1e-12:

@@ -22,10 +22,12 @@ two configurations agree in every divergence eigenvalue.  Summed over e, these
 units have pairwise disjoint supports, so one orthonormal basis of the
 commutant is the normalized projectors P_a, first, followed by the Hermitized
 units of each pair a < b with at least one agreeing e; no orthonormalization
-is needed.  The superselection report evaluates that basis on index tables,
-and the dense basis lists the same operators in the same order.  The string
-operator is an index map, so neither the report nor the string builds a
-flat_dim x flat_dim matrix.
+is needed.  The pairs come from one stable sort of each exterior column of
+packed constraint codes, which puts equal codes next to each other.  The
+superselection report evaluates that basis on index tables, and the dense
+basis lists the same operators in the same order.  The string operator is an
+index map, so neither the report nor the string builds a flat_dim x flat_dim
+matrix.
 
 Every index map is a view of one index grid, the flat indices reshaped to the
 factor dimensions (the C-order layout): the interior/exterior table is the
@@ -68,7 +70,6 @@ __all__ = [
 ENUMERATION_LIMIT = 20000
 CROSS_ELEMENT_TOL = 1e-12
 _SUPPORT_TOL = 1e-12
-_PAIR_BLOCK = 1 << 22  # (a, b, e) comparisons per block of _kept_pairs
 _TABLE_CACHE_SIZE = 4  # specs whose configuration tables are kept
 
 FactorLabel = tuple[str, int]
@@ -415,53 +416,50 @@ def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, n
     return position, code[position]
 
 
-def _kept_pairs(code: np.ndarray):
-    """Interior pairs a < b joined at one or more exterior configurations, in blocks.
+def _kept_pairs(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior pairs a < b joined at one or more exterior configurations.
 
-    Yields ``(a, b, keep)``: the pair indices, ascending, and per pair a mask
-    over exterior configurations e at which (a, e) and (b, e) agree in every
-    constraint eigenvalue.  The matrix unit of the pair is the sum of
-    |(a, e)><(b, e)| over the kept e.  Each block compares at most
-    ``_PAIR_BLOCK`` (a, b, e) triples.
+    Returns ``(a, b, keep)``: the pair indices, ascending in (a, b), and per pair
+    a mask over exterior configurations e at which (a, e) and (b, e) agree in
+    every constraint eigenvalue.  The matrix unit of the pair is the sum of
+    |(a, e)><(b, e)| over the kept e.  Each exterior column is sorted once,
+    stably, so equal codes form runs with a ascending; the pairs of a run are
+    its entries k = 1, 2, ... places apart, until no run is that long.
     """
-    d_int, d_ext = code.shape
-    rows = max(1, _PAIR_BLOCK // (d_int * d_ext))
-    for lo in range(0, d_int - 1, rows):
-        hi = min(lo + rows, d_int - 1)
-        agree = code[lo:hi, None, :] == code[None, lo + 1 :, :]
-        # row i is a = lo + i and column j is b = lo + 1 + j: b > a is j >= i
-        a, b = np.nonzero(np.triu(agree.any(axis=2)))
-        yield a + lo, b + lo + 1, agree[a, b]
+    d_int = code.shape[0]
+    order = np.argsort(code, axis=0, kind="stable")
+    ranked = np.take_along_axis(code, order, axis=0)
+    ids = [np.empty(0, dtype=order.dtype)]
+    for k in range(1, d_int):
+        same = ranked[k:] == ranked[:-k]
+        if not same.any():
+            break
+        ids.append(order[:-k][same] * d_int + order[k:][same])
+    a, b = np.divmod(np.unique(np.concatenate(ids)), d_int)
+    return a, b, code[a] == code[b]
 
 
-def _pair_elements(a, b, keep, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x|O|y> for the normalized (U + U^dag) and i (U - U^dag) of each pair, interleaved.
+def _basis_elements(a, b, keep, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x|O|y> for every operator O of the support basis, in order.
 
-    ``x`` and ``y`` are amplitudes gathered by ``position``; U is the matrix
-    unit of the pair on its kept exterior configurations.
+    ``x`` and ``y`` are amplitudes gathered by ``position``; ``(a, b, keep)``
+    are the :func:`_kept_pairs`.  First the d_int projectors P_a (identity on
+    the exterior), then the normalized (U + U^dag) and i (U - U^dag) of each
+    pair, interleaved, U being the matrix unit of the pair on its kept exterior
+    configurations.  Every operator has unit Hilbert-Schmidt norm.  The supports
+    are pairwise disjoint, so the operators are orthonormal; sqrt(d_ext) times
+    the sum of the projectors is the identity.
     """
+    projectors = np.sum(x.conj() * y, axis=1) / math.sqrt(x.shape[1])
     fwd = np.einsum("pe,pe,pe->p", keep, x[a].conj(), y[b])  # <x|U|y>
     back = np.einsum("pe,pe,pe->p", keep, x[b].conj(), y[a])  # <x|U^dag|y>
     norm = np.sqrt(2.0 * keep.sum(axis=1))
-    return (np.column_stack([fwd + back, 1j * (fwd - back)]) / norm[:, None]).ravel()
-
-
-def _basis_blocks(position: np.ndarray, code: np.ndarray):
-    """The support basis in blocks, each a function (x, y) -> <x|O|y> per operator.
-
-    The first block holds the d_int projectors P_a (identity on the exterior),
-    the others both Hermitized forms of each kept pair; every operator has unit
-    Hilbert-Schmidt norm.  The supports are pairwise disjoint, so the operators
-    are orthonormal; sqrt(d_ext) times the sum of the projectors is the identity.
-    """
-    d_ext = position.shape[1]
-    yield lambda x, y: np.sum(x.conj() * y, axis=1) / math.sqrt(d_ext)
-    for a, b, keep in _kept_pairs(code):
-        yield partial(_pair_elements, a, b, keep)
+    pairs = np.column_stack([fwd + back, 1j * (fwd - back)]) / norm[:, None]
+    return np.concatenate([projectors, pairs.ravel()])
 
 
 def _commutant_basis(spec: LatticeSpec, factors: list[int]) -> list[Operator]:
-    """The operators of :func:`_basis_blocks` as dense matrices, in the same order.
+    """The operators of :func:`_basis_elements` as dense matrices, in the same order.
 
     First the d_int normalized projectors P_a, then (U + U^dag) and i (U - U^dag)
     of each kept pair, normalized by the number of kept exterior configurations.
@@ -475,15 +473,14 @@ def _commutant_basis(spec: LatticeSpec, factors: list[int]) -> list[Operator]:
         entries = np.zeros((dim, dim), dtype=np.complex128)
         entries[rows, rows] = 1.0 / math.sqrt(position.shape[1])
         ops.append(Operator(spec.layout, entries))
-    for a, b, keep in _kept_pairs(code):
-        for i, j, k in zip(a, b, keep):
-            rows, cols = position[i, k], position[j, k]
-            scale = 1.0 / math.sqrt(2.0 * len(rows))
-            for phase in (1.0, 1j):
-                entries = np.zeros((dim, dim), dtype=np.complex128)
-                entries[rows, cols] = phase * scale
-                entries[cols, rows] = np.conj(phase) * scale
-                ops.append(Operator(spec.layout, entries))
+    for i, j, k in zip(*_kept_pairs(code)):
+        rows, cols = position[i, k], position[j, k]
+        scale = 1.0 / math.sqrt(2.0 * len(rows))
+        for phase in (1.0, 1j):
+            entries = np.zeros((dim, dim), dtype=np.complex128)
+            entries[rows, cols] = phase * scale
+            entries[cols, rows] = np.conj(phase) * scale
+            ops.append(Operator(spec.layout, entries))
     return ops
 
 
@@ -547,8 +544,7 @@ def superselection_report(
     the sectors; this is the contrast case, not a locality statement.
 
     The basis is that of :func:`gauge_invariant_local_basis`; its matrix
-    elements are computed from the support table in blocks, without dense
-    matrices.
+    elements are computed from the support table, without dense matrices.
     """
     subspace = physical_subspace(spec)
     decomp = charge_sectors(subspace)
@@ -562,24 +558,18 @@ def superselection_report(
     plus = psi_plus.amplitudes[position]
     minus = psi_minus.amplitudes[position]
     superpos = (plus + minus) / math.sqrt(2.0)
-    n_operators = 0
-    max_cross = 0.0
-    max_diff = 0.0
-    for elements in _basis_blocks(position, code):
-        cross = np.abs(elements(plus, minus))
-        exp_sup = elements(superpos, superpos).real
-        exp_mix = 0.5 * (elements(plus, plus).real + elements(minus, minus).real)
-        n_operators += len(cross)
-        max_cross = max(max_cross, float(np.max(cross, initial=0.0)))
-        max_diff = max(max_diff, float(np.max(np.abs(exp_sup - exp_mix), initial=0.0)))
+    elements = partial(_basis_elements, *_kept_pairs(code))
+    cross = np.abs(elements(plus, minus))
+    exp_sup = elements(superpos, superpos).real
+    exp_mix = 0.5 * (elements(plus, plus).real + elements(minus, minus).real)
 
     return SuperselectionReport(
         physical_dim=subspace.dim,
         sector_plus=sector_plus,
         sector_minus=sector_minus,
-        n_operators=n_operators,
-        max_cross=max_cross,
-        max_expectation_diff=max_diff,
+        n_operators=len(cross),
+        max_cross=float(np.max(cross)),
+        max_expectation_diff=float(np.max(np.abs(exp_sup - exp_mix))),
     )
 
 

@@ -231,6 +231,17 @@ def brute_operator_count(sites: int, e_max: int, left: int, boundary: bool = Fal
     return sum(n * n for n in classes.values())
 
 
+def brute_kept_pairs(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior pairs a < b with equal codes at some exterior, by all-pairs comparison.
+
+    ``code`` has shape (d_int, d_ext).  Every (a, b, e) triple is compared at
+    once; the pairs come out ascending in (a, b), each with its mask over e.
+    """
+    agree = code[:, None, :] == code[None, :, :]
+    a, b = np.nonzero(np.triu(agree.any(axis=2), k=1))
+    return a, b, agree[a, b]
+
+
 def brute_wilson_line(sites: int, e_max: int, x: int) -> np.ndarray:
     """Dense string operator from site x: raise q_x and E_x..E_N, drop what leaves the range."""
     configs = lattice_configurations(sites, e_max)

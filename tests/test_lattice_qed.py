@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qdeco.cli import run
 from qdeco.hilbert import StateVector
 from qdeco.lattice_qed import (
+    CROSS_ELEMENT_TOL,
     GaugeFunction,
     LatticeSpec,
     boundary_decomposition_diagonals,
@@ -24,9 +26,8 @@ from qdeco.lattice_qed import (
     total_charge_diagonal,
     wilson_line,
 )
-import qdeco.lattice_qed as lattice_qed
 from qdeco.lattice_qed import (
-    _basis_blocks,
+    _basis_elements,
     _commutant_basis,
     _config_table,
     _enumerate,
@@ -38,6 +39,7 @@ from qdeco.lattice_qed import (
 
 from oracles import (
     brute_commutant_basis,
+    brute_kept_pairs,
     brute_operator_count,
     brute_force_gauss_kernel,
     brute_gauss_eigenvalues,
@@ -518,6 +520,22 @@ class TestSuperselectionReport:
         with pytest.raises(ValueError):
             superselection_report(spec, good, bad)
 
+    def test_report_memory_stays_linear_in_the_pairs(self):
+        # comparing all d_int^2 d_ext = 2187^2 x 3 triples peaks above 8 MiB here;
+        # the sorted pair search holds about 2 MiB, linear in the kept pairs
+        spec = LatticeSpec(sites=4, e_max=1)
+        decomp = charge_sectors(physical_subspace(spec))
+        psi_plus, psi_minus = sector_state(decomp, 1), sector_state(decomp, -1)
+        superselection_report(spec, psi_plus, psi_minus)  # fills the table cache
+        tracemalloc.start()
+        try:
+            report = superselection_report(spec, psi_plus, psi_minus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_cross <= CROSS_ELEMENT_TOL
+        assert peak < 4 * 2**20
+
 
 class TestChargePhaseAction:
     def setup_method(self):
@@ -698,21 +716,20 @@ class TestSupportFormParity:
         rng = np.random.default_rng(len(factors))
         x, y = (rng.normal(size=spec.flat_dim) + 1j * rng.normal(size=spec.flat_dim)
                 for _ in range(2))
-        blocks = [block(x[position], y[position]) for block in _basis_blocks(position, code)]
-        assert len(blocks[0]) == d_int
+        got = _basis_elements(*_kept_pairs(code), x[position], y[position])
 
         expected = [np.vdot(x, op.entries @ y) for op in _commutant_basis(spec, factors)]
-        np.testing.assert_allclose(np.concatenate(blocks), expected, rtol=0, atol=1e-13)
+        assert len(got) == len(expected) > d_int
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
-    def test_pair_blocks_do_not_change_the_pairs(self, monkeypatch):
-        spec = LatticeSpec(sites=2, e_max=2)
-        _, code = _support_table(spec, [0, 1, 2])
-        whole = [np.concatenate(parts) for parts in zip(*_kept_pairs(code))]
-        monkeypatch.setattr(lattice_qed, "_PAIR_BLOCK", 7 * code.shape[1])
-        blocks = list(_kept_pairs(code))
-        assert len(blocks) > 1
-        for got, want in zip(zip(*blocks), whole):
-            np.testing.assert_array_equal(np.concatenate(got), want)
+    @pytest.mark.parametrize("sites,e_max", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
+    def test_kept_pairs_match_all_pair_comparison(self, sites, e_max):
+        spec = LatticeSpec(sites=sites, e_max=e_max, left_field=1)
+        for r in range(1, 2 * sites + 1):
+            for factors in itertools.combinations(range(2 * sites), r):
+                _, code = _support_table(spec, list(factors))
+                for got, want in zip(_kept_pairs(code), brute_kept_pairs(code), strict=True):
+                    np.testing.assert_array_equal(got, want, strict=True)
 
     @pytest.mark.parametrize("sites,e_max", [(1, 1), (2, 1), (2, 2), (3, 1)])
     def test_wilson_map_matches_loop(self, sites, e_max):
