@@ -97,8 +97,8 @@ def equal_overlap_spec(coefficients, overlap: float) -> CorrelatedStateSpec:
     environments are the rows of a factor L of the Gram matrix (1 - s) I + s J,
     L L^T = Gram, taken from its eigendecomposition; they exist exactly when
     that matrix is positive semidefinite, for -1/(n - 1) <= s <= 1.  A spec whose
-    n^2 x n^2 reduced state exceeds the dense bound is refused on the branch
-    count, before the Gram matrix is formed.
+    (system, apparatus) dimension n^2 exceeds the dense bound is refused on the
+    branch count, before the Gram matrix is formed.
     """
     coeffs = np.asarray(coefficients, dtype=np.complex128)
     overlap = float(overlap)
@@ -124,7 +124,12 @@ def equal_overlap_spec(coefficients, overlap: float) -> CorrelatedStateSpec:
 
 
 def _check_reduced_dim(dim: int):
-    """Refuse a (system, apparatus) reduced state above ``DENSE_OPERATOR_LIMIT``."""
+    """Refuse a (system, apparatus) dimension above ``DENSE_OPERATOR_LIMIT``.
+
+    The reduced state is kept on its support, so no dense matrix of this
+    dimension is formed; for ``tripartite`` the n^2 bound guards the size
+    of the n^3-amplitude state that :func:`build_correlated_state` builds.
+    """
     if dim > DENSE_OPERATOR_LIMIT:
         raise ValueError(
             f"reduced state dimension {dim} exceeds dense bound {DENSE_OPERATOR_LIMIT}"
@@ -136,8 +141,9 @@ def build_correlated_state(spec: CorrelatedStateSpec) -> StateVector:
 
     The branch sum is one matrix product: the rows c_n phi_n (x) Phi_n, as an
     n x (dim_S dim_A) matrix, transposed and multiplied by the n x dim_E matrix
-    of environments.  A state whose reduction would exceed the dense bound of
-    :func:`reduce_to_apparatus` is refused before any branch data is stacked.
+    of environments.  A state whose (system, apparatus) dimension exceeds the
+    bound of :func:`reduce_to_apparatus` is refused before any branch data is
+    stacked.
     Raises :class:`NormalizationError` when the state built from the branch
     data does not have unit norm; non-orthogonal branches are accepted but
     never silently renormalized.
@@ -163,10 +169,13 @@ def reduce_to_apparatus(psi: StateVector) -> DensityMatrix:
 
     The state is reshaped into the (dim_S dim_A) x dim_E matrix M, and the
     reduced state is M M^dag: its entries are the overlaps of the environment
-    components, so the projector |Psi><Psi| is never formed.  M is passed on as
-    the factor of the :class:`DensityMatrix`, which takes the spectrum from
-    whichever Gram matrix of M is smaller.  A reduced state of dimension above
-    ``DENSE_OPERATOR_LIMIT`` is refused before it is formed.
+    components, so the projector |Psi><Psi| is never formed.  Its support is
+    the rows of M that hold a nonzero amplitude (exact zeros are structural,
+    so no tolerance is needed), and only the block M_S M_S^dag on it is formed:
+    n x n for n branches |n n>, not n^2 x n^2.  M_S is passed on as the factor
+    of the :class:`DensityMatrix`, which takes the spectrum from whichever of
+    the block and M_S^dag M_S is smaller.  A (system, apparatus) dimension
+    above ``DENSE_OPERATOR_LIMIT`` is refused before the block is formed.
     """
     if psi.layout.n_factors != 3:
         raise ValueError(
@@ -176,7 +185,9 @@ def reduce_to_apparatus(psi: StateVector) -> DensityMatrix:
     dim = dim_s * dim_a
     _check_reduced_dim(dim)
     m = psi.amplitudes.reshape(dim, dim_e)
-    return DensityMatrix(TensorLayout((dim_s, dim_a)), m @ m.conj().T, factor=m)
+    support = np.flatnonzero(np.any(m != 0, axis=1))
+    m_s = m[support]
+    return DensityMatrix(TensorLayout((dim_s, dim_a)), m_s @ m_s.conj().T, support, factor=m_s)
 
 
 def environment_overlap(spec: CorrelatedStateSpec, n: int, m: int) -> complex:

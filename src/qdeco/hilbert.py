@@ -2,8 +2,10 @@
 
 States and operators are stored flat; a :class:`TensorLayout` records the
 subsystem dimensions, with the leftmost factor slowest-varying in the flat
-index (numpy C order).  A :class:`DensityMatrix` keeps the spectrum that
-validated it; reduced states come from ``decoherence.reduce_to_apparatus``.
+index (numpy C order).  A :class:`DensityMatrix` is stored as a block on its
+support, the flat indices outside which every entry is exactly zero, and
+keeps the spectrum that validated it; reduced states come from
+``decoherence.reduce_to_apparatus``, which never forms the full matrix.
 """
 
 from __future__ import annotations
@@ -147,14 +149,17 @@ def _check_hermitian(entries: np.ndarray) -> None:
     The deviation is taken one block of rows at a time, from the block's
     diagonal rightwards, so no second full-size array is formed and each pair
     (j, k) is compared once; |a_jk - conj(a_kj)| is symmetric in j and k.
+    Non-finite entries are refused first, since no tolerance test catches NaN.
     """
+    if not np.isfinite(entries).all():
+        raise ValueError("density matrix has non-finite entries")
     d = entries.shape[-1]
     rows = max(1, _HERMITICITY_BLOCK // max(1, entries[..., :1, :].size))
     blocks = (
         entries[..., i : i + rows, i:] - np.swapaxes(entries[..., i:, i : i + rows], -1, -2).conj()
         for i in range(0, d, rows)
     )
-    # initial= lets an empty stack through; np.max keeps a NaN deviation
+    # initial= lets an empty stack through
     dev = np.max([np.max(np.abs(b), initial=0.0) for b in blocks], initial=0.0)
     if dev > HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
@@ -179,40 +184,52 @@ def density_spectrum(entries: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive matrix (all within fixed tolerances).
+    """Hermitian, unit-trace, positive matrix (all within fixed tolerances), kept on its support.
 
-    ``spectrum`` is the read-only ascending spectrum that validation computed.
+    ``block`` holds the rows and columns of the ascending flat indices
+    ``support``; every entry outside support x support is exactly zero.  The
+    default support is every flat index, so ``DensityMatrix(layout, entries)``
+    takes a dense matrix.  ``entries`` scatters the block into a fresh full
+    matrix on each access; ``spectrum`` is the read-only ascending spectrum
+    that validation computed, padded with zeros to the layout dimension.
 
-    ``factor`` is a matrix M with ``entries`` = M M^dag, which only
-    ``decoherence.reduce_to_apparatus`` passes.  When M has fewer columns than
-    rows, the spectrum is validated on the smaller Gram matrix M^dag M instead:
-    it has the same nonzero eigenvalues and the same trace ||M||^2 (Schmidt
-    decomposition), and is padded with zeros to the dimension of ``entries``,
-    which is then checked for Hermiticity alone.
+    ``factor`` is a matrix M with ``block`` = M M^dag, which only
+    ``decoherence.reduce_to_apparatus`` passes.  Unless M has more columns than
+    rows, the spectrum is validated on the Gram matrix M^dag M instead: it has
+    the same nonzero eigenvalues and the same trace ||M||^2 (Schmidt
+    decomposition), and the block is then checked for Hermiticity alone.
     """
 
     layout: TensorLayout
-    entries: np.ndarray
+    block: np.ndarray
+    support: np.ndarray | None = None
     spectrum: np.ndarray = field(init=False)
     factor: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, factor):
-        object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
-        dim = self.entries.shape[0]
-        if dim != self.layout.flat_dim:
-            raise ValueError(
-                f"matrix dimension {dim} does not match "
-                f"layout dimension {self.layout.flat_dim}"
-            )
-        if factor is None or factor.shape[1] >= dim:
-            spectrum = density_spectrum(self.entries)
+        object.__setattr__(self, "block", _as_complex_matrix(self.block))
+        dim, size = self.layout.flat_dim, self.block.shape[0]
+        support = np.arange(dim) if self.support is None else np.asarray(self.support, np.intp)
+        if support.shape != (size,):
+            raise ValueError(f"matrix dimension {size} does not match support size {support.size}")
+        if np.any(np.diff(support) <= 0) or np.any((support < 0) | (support >= dim)):
+            raise ValueError(f"support must ascend strictly within layout dimension {dim}")
+        object.__setattr__(self, "support", support)
+        if factor is None or factor.shape[1] > size:
+            small = density_spectrum(self.block)
         else:
-            _check_hermitian(self.entries)
+            _check_hermitian(self.block)
             small = density_spectrum(factor.conj().T @ factor)
-            # sorted after padding: the small spectrum can hold -1e-17 values
-            spectrum = np.sort(np.concatenate([small, np.zeros(dim - small.shape[0])]))
+        # sorted after padding: the small spectrum can hold -1e-17 values
+        spectrum = np.sort(np.concatenate([small, np.zeros(dim - small.shape[0])]))
         spectrum.flags.writeable = False
         object.__setattr__(self, "spectrum", spectrum)
+
+    @property
+    def entries(self) -> np.ndarray:
+        full = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        full[np.ix_(self.support, self.support)] = self.block
+        return full
 
     @property
     def dim(self) -> int:
@@ -237,9 +254,9 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
 
 
 def spectrum_entropy(p: np.ndarray) -> np.ndarray:
-    """-sum(p ln p) over the last axis, in nats (0 ln 0 := 0)."""
+    """-sum(p ln p) over the last axis, in nats (0 ln 0 := 0; a pure state gives +0.0)."""
     p = np.clip(p, 0.0, 1.0)  # drop the [-1e-10, 0) noise that validation lets through
-    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
+    return 0.0 - np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -252,23 +269,24 @@ def coherence_norm(rho: DensityMatrix) -> float:
 
     Only rows with a positive diagonal entry take part, and pairs whose
     diagonal product is below 1e-30 are skipped, so exact diagonal matrices
-    and matrices with empty branches both give 0.
+    and matrices with empty branches both give 0.  Only the block is read:
+    outside the support the diagonal is 0.
     """
-    diag = rho.entries.diagonal().real
+    diag = rho.block.diagonal().real
     rows = np.flatnonzero(diag > 0.0)
     weight = np.outer(diag[rows], diag[rows])
     mask = weight > _DIAG_FLOOR
     np.fill_diagonal(mask, False)
     if not mask.any():
         return 0.0
-    kept = rho.entries[np.ix_(rows, rows)]
+    kept = rho.block[np.ix_(rows, rows)]
     return float(np.max(np.abs(kept[mask]) / np.sqrt(weight[mask])))
 
 
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2), between 1/dim (maximally mixed) and 1 (pure).
 
-    For a Hermitian rho this is sum_ij |rho_ij|^2, which needs no matrix product.
+    For a Hermitian rho this is sum_ij |rho_ij|^2 over the block, which needs
+    no matrix product.
     """
-    e = rho.entries
-    return float(np.vdot(e, e).real)
+    return float(np.vdot(rho.block, rho.block).real)

@@ -346,7 +346,7 @@ class TestReports:
 
     @pytest.mark.parametrize("n,code", [(45, 0), (46, 1)])
     def test_tripartite_reduced_state_bound(self, capsys, n, code):
-        # n branches reduce to an n^2 x n^2 state; the dense bound is 2048
+        # n branches give a (system, apparatus) dimension of n^2; the bound is 2048
         coeffs = ",".join([repr(n**-0.5)] * n)
         got, out, err = run_capture(capsys, ["tripartite", "--coeffs", coeffs, "--env-overlap", "0.3"])
         assert got == code
@@ -501,6 +501,13 @@ class TestTripartiteEdgeCases:
         out = capsys.readouterr().out
         assert code == 0
         assert json.loads(out)["outputs"]["coherence_norm"] == pytest.approx(1.0)
+
+    def test_pure_state_reports_positive_zero_entropy(self, capsys):
+        argv = ["tripartite", "--coeffs", "0.6,0.8", "--env-overlap", "1"]
+        assert run(argv) == 0
+        assert '"entropy_nats": 0,' in capsys.readouterr().out
+        assert run([*argv, "--format", "csv"]) == 0
+        assert "-0" not in capsys.readouterr().out
 
     def test_inadmissible_overlap_rejected(self, capsys):
         code = run(["tripartite", "--coeffs", "0.5,0.5,0.5,0.5", "--env-overlap", "-0.9"])

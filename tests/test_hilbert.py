@@ -264,6 +264,11 @@ class TestEntropy:
         )
         assert abs(s_joint - s_parts) <= 1e-9
 
+    def test_pure_state_entropy_is_positive_zero(self):
+        for rho in (projector(basis_state(2, 0)), dm(np.diag([1.0, 0.0]), (2,))):
+            s = von_neumann_entropy(rho)
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0
+
     def test_product_pure_state_has_zero_local_entropy(self):
         rng = np.random.default_rng(47)
         a = StateVector(TensorLayout((2,)), random_state(rng, 2))
@@ -324,3 +329,54 @@ class TestDensityMatrixInvariants:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             dm(np.diag([1.5, -0.5]), (2,))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[0.5, math.nan], [math.nan, 0.5]],
+            [[math.inf, 0.0], [0.0, 1.0]],
+        ],
+        ids=["nan-diagonal", "nan-coherence", "inf-diagonal"],
+    )
+    def test_rejects_non_finite(self, entries):
+        with pytest.raises(ValueError, match="^density matrix has non-finite entries$"):
+            dm(entries, (2,))
+
+    def test_rejects_non_finite_in_a_stack(self):
+        stack = np.stack([np.eye(2) / 2.0, [[0.5, math.nan], [math.nan, 0.5]]]).astype(complex)
+        with pytest.raises(ValueError, match="^density matrix has non-finite entries$"):
+            density_spectrum(stack)
+
+    def test_rejects_a_non_finite_amplitude_in_a_reduction(self):
+        amplitudes = random_state(np.random.default_rng(97), 8)
+        amplitudes[5] = math.nan
+        with pytest.raises(ValueError, match="^density matrix has non-finite entries$"):
+            pure(amplitudes, (2, 2, 2))
+
+    @pytest.mark.parametrize(
+        "support,message",
+        [
+            (None, "matrix dimension 2 does not match support size 3"),
+            ([0, 1, 2], "matrix dimension 2 does not match support size 3"),
+            ([1, 0], "support must ascend strictly within layout dimension 3"),
+            ([1, 1], "support must ascend strictly within layout dimension 3"),
+            ([-1, 2], "support must ascend strictly within layout dimension 3"),
+            ([1, 3], "support must ascend strictly within layout dimension 3"),
+        ],
+        ids=["dense-wrong-size", "too-long", "descending", "repeated", "negative", "beyond"],
+    )
+    def test_rejects_a_support_that_does_not_fit(self, support, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DensityMatrix(TensorLayout((3,)), np.eye(2) / 2.0, support)
+
+    def test_block_on_a_support(self):
+        rho = DensityMatrix(TensorLayout((2, 2)), np.full((2, 2), 0.5), [0, 3])
+        expected = np.zeros((4, 4))
+        expected[np.ix_([0, 3], [0, 3])] = 0.5
+        np.testing.assert_array_equal(rho.entries, expected)
+        np.testing.assert_allclose(rho.spectrum, [0.0, 0.0, 0.0, 1.0], rtol=0, atol=1e-15)
+        assert rho.support.tolist() == [0, 3]
+        # each access scatters into a fresh matrix
+        rho.entries[0, 0] = 7.0
+        assert rho.entries[0, 0] == 0.5
