@@ -3,7 +3,8 @@
 Each runner takes the resolved parameters, which the report lists as its
 inputs, and returns its outputs.  The physics is in the library; two runners
 still reduce library results here.  ``lattice identity-check`` draws its gauge
-functions and takes the largest residuals, because perfbench traces
+functions with the standard library's Mersenne Twister, ``random.Random(seed)``,
+and takes the largest residuals, because perfbench traces
 ``gauge_generator_diagonal`` as this module binds it.  ``dephasing`` takes the
 largest deviation of the evolution from the closed-form oracle, a check that
 compares two library results.  Reports have a stable key order and
@@ -18,11 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,9 +93,55 @@ def _format_number(x) -> str:
     return format(x, ".12g")
 
 
+class _Sweep(NamedTuple):
+    """Sweep rows under their header; ``_to_json`` writes one object per row."""
+
+    header: list
+    rows: list
+
+
+def _row_values(rows: list[tuple], width: int) -> tuple[str, list[tuple]]:
+    """The %-format slot of a table of numbers and the row values it takes.
+
+    Rows of floats keep their values for ``%.12g`` after one finiteness check
+    of the whole table; other rows become ``_format_number`` strings for
+    ``%s``.  Either way a value prints as ``_format_number`` prints it, and the
+    first non-finite value in row order is refused with its message.
+    """
+    for r in rows:
+        if len(r) != width:
+            raise ValueError(f"row width {len(r)} does not match header width {width}")
+    if rows and all(isinstance(x, float) for r in rows for x in r):
+        table = np.array(rows, dtype=np.float64)
+        bad = np.argwhere(~np.isfinite(table))
+        if len(bad):
+            raise ValueError(f"refusing to serialize non-finite value {table[tuple(bad[0])]}")
+        return "%.12g", rows
+    return "%s", [tuple(map(_format_number, r)) for r in rows]
+
+
+def _sweep_json(sweep: _Sweep, indent: int) -> str:
+    """``_to_json`` of ``[dict(zip(header, r)) for r in rows]``, from one row template."""
+    if not sweep.rows:
+        return "[]"
+    slot, values = _row_values(sweep.rows, len(sweep.header))
+    column = {k: i for i, k in enumerate(sweep.header)}  # a repeated key keeps its last value
+    keys = sorted(column, key=str)
+    row_pad, key_pad = "  " * (indent + 1), "  " * (indent + 2)
+    fields = ",\n".join(
+        f"{key_pad}{json.dumps(str(k))}: ".replace("%", "%%") + slot for k in keys
+    )
+    template = f"{row_pad}{{\n{fields}\n{row_pad}}}"
+    columns = list(zip(*values))
+    rows = zip(*(columns[column[k]] for k in keys))
+    return "[\n" + ",\n".join([template % r for r in rows]) + "\n" + "  " * indent + "]"
+
+
 def _to_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, _Sweep):
+        return _sweep_json(obj, indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -121,13 +169,9 @@ def _to_json(obj, indent: int = 0) -> str:
 def emit_sweep(rows, header) -> str:
     """Render numeric rows as CSV, header line first."""
     header = list(header)
-    lines = [",".join(header)]
-    for r in rows:
-        r = tuple(r)
-        if len(r) != len(header):
-            raise ValueError(f"row width {len(r)} does not match header width {len(header)}")
-        lines.append(",".join(_format_number(v) for v in r))
-    return "\n".join(lines) + "\n"
+    slot, values = _row_values([tuple(r) for r in rows], len(header))
+    template = ",".join([slot] * len(header))
+    return "\n".join([",".join(header)] + [template % r for r in values]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +363,7 @@ def _run_lattice_identity(v: dict):
         raise ValueError("trials must be >= 1")
     if v["seed"] < 0:
         raise ValueError("seed must be >= 0")
-    rng = np.random.default_rng(v["seed"])
+    rng = random.Random(v["seed"])  # numpy.random would load secrets, hashlib and OpenSSL
     subspace = physical_subspace(spec)
     charge_phys = total_charge_diagonal(spec)[subspace.basis]
 
@@ -327,9 +371,9 @@ def _run_lattice_identity(v: dict):
     max_kernel = 0.0
     for _ in range(v["trials"]):
         xi = GaugeFunction(
-            values=rng.uniform(-1.0, 1.0, size=spec.sites),
-            left_value=float(rng.uniform(-1.0, 1.0)),
-            asymptotic_value=float(rng.uniform(-1.0, 1.0)),
+            values=np.array([rng.uniform(-1.0, 1.0) for _ in range(spec.sites)]),
+            left_value=rng.uniform(-1.0, 1.0),
+            asymptotic_value=rng.uniform(-1.0, 1.0),
         )
         direct = gauge_generator_diagonal(spec, xi)
         surface, bulk = boundary_decomposition_diagonals(spec, xi)
@@ -500,8 +544,7 @@ def _render(key, values, outputs, sweep, fmt: str) -> str:
         },
     }
     if sweep is not None:
-        header, rows = sweep
-        report["rows"] = [dict(zip(header, r)) for r in rows]
+        report["rows"] = _Sweep(*sweep)
     return _to_json(report) + "\n"
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .units import (
@@ -77,12 +78,16 @@ def _ratio(quantity: str, numerator: float, denominator: float) -> float:
 
 
 def _field_magnitude(efield, quantity: str) -> float:
-    """|E| in natural units; a nonzero field lost in the conversion is not a zero field."""
+    """|E| in natural units; a nonzero field lost in the conversion is not a zero field.
+
+    A subnormal |E| (below about 3.4e-292 V/cm) is refused as an underflow too:
+    it keeps fewer significant digits than the twelve a report prints.
+    """
     e_field = abs(to_natural(efield, ELECTRIC_FIELD))
     if not math.isfinite(e_field):
         raise ValueError("electric field overflows double precision")
-    if e_field == 0:
-        if to_si(efield, ELECTRIC_FIELD) != 0:
+    if e_field < sys.float_info.min:
+        if e_field != 0 or to_si(efield, ELECTRIC_FIELD) != 0:
             raise ValueError("electric field underflows double precision")
         raise ValueError(f"{quantity} diverges for zero field")
     return e_field

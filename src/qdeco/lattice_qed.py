@@ -242,9 +242,9 @@ class SectorDecomposition:
 def charge_sectors(subspace: PhysicalSubspace) -> SectorDecomposition:
     """Group the physical basis by its :func:`total_charge_diagonal` value."""
     charge_of = total_charge_diagonal(subspace.spec)[subspace.basis]
-    sectors = {
-        int(q): subspace.basis[charge_of == q] for q in np.unique(charge_of)
-    }
+    # with an inverse, np.unique does not import numpy.ma, as its plain form does
+    charges, sector_of = np.unique(charge_of, return_inverse=True)
+    sectors = {int(q): subspace.basis[sector_of == i] for i, q in enumerate(charges)}
     return SectorDecomposition(subspace, sectors)
 
 
@@ -435,7 +435,10 @@ def _kept_pairs(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not same.any():
             break
         ids.append(order[:-k][same] * d_int + order[k:][same])
-    a, b = np.divmod(np.unique(np.concatenate(ids)), d_int)
+    ids = np.sort(np.concatenate(ids))  # deduplicated by hand: np.unique imports numpy.ma
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    a, b = np.divmod(ids[first], d_int)
     return a, b, code[a] == code[b]
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -56,6 +57,27 @@ class TestEmitSweep:
         for row, (t, c, s) in zip(parsed, rows):
             for key, ref in (("t", t), ("coherence", c), ("entropy", s)):
                 assert format(float(row[key]), ".12g") == format(ref, ".12g")
+
+
+    def test_non_finite_value_refused_first_in_row_order(self):
+        rows = [(1.0, 2.0), (3.0, math.inf), (math.nan, 4.0)]
+        with pytest.raises(ValueError, match="^refusing to serialize non-finite value inf$"):
+            emit_sweep(rows, ["a", "b"])
+        with pytest.raises(ValueError, match="^refusing to serialize non-finite value inf$"):
+            cli._to_json({"rows": cli._Sweep(["a", "b"], rows)})
+
+    def test_integers_keep_every_digit(self):
+        assert emit_sweep([(10**13, 0.5)], ["n", "x"]) == "n,x\n10000000000000,0.5\n"
+
+    @pytest.mark.parametrize("rows", [
+        [(0.0, 0.5, -1e-20), (1e300, -0.0, 0.1 + 0.2)],
+        [(1, 2.5, 10**13)],
+        [],
+    ])
+    def test_json_rows_match_one_object_per_row(self, rows):
+        header = ["t", "coherence", "entropy"]
+        want = cli._to_json({"rows": [dict(zip(header, r)) for r in rows], "tool": "qdeco"})
+        assert cli._to_json({"rows": cli._Sweep(header, rows), "tool": "qdeco"}) == want
 
 
 class TestExitCodes:
@@ -175,10 +197,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["field", "coherence-length", "--efield-v-per-cm", "1e-300", "--threshold", "1e300"],
+            ["field", "coherence-length", "--efield-v-per-cm", "1e-291", "--threshold", "1e308"],
             ["field", "factor", "--volume-cm3", "1e300", "--efield-v-per-cm", "1e300"],
-            ["field", "validity-time", "--efield-v-per-cm", "1e-305"],
-            ["field", "coherence-length", "--efield-v-per-cm", "1e-295", "--threshold", "1e308"],
+            ["field", "factor", "--volume-cm3", "0", "--efield-v-per-cm", "1e300"],
+            ["field", "coherence-length", "--efield-v-per-cm", "3.5e-292", "--threshold", "1e308"],
             ["dephasing", "--spins", "2", "--coupling", "1e300", "--t-max", "1e10",
              "--steps", "3"],
             ["thermal", "length", "--time-s", "1e-310", "--lambda-cm2s", "1e-310"],
@@ -221,6 +243,13 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, ["field", command, "--efield-v-per-cm", "0"])
         assert (code, out) == (1, "")
         assert err.endswith("diverges for zero field\n")
+
+    @pytest.mark.parametrize("command", ["coherence-length", "validity-time"])
+    def test_subnormal_field_is_refused(self, capsys, command):
+        # below about 3.4e-292 V/cm the field is a subnormal number of MeV^2
+        code, out, err = run_capture(capsys, ["field", command, "--efield-v-per-cm", "1e-300"])
+        assert (code, out) == (1, "")
+        assert err == "qdeco: validation error: electric field underflows double precision\n"
 
     @pytest.mark.parametrize(
         "flag,value,message",
@@ -426,6 +455,24 @@ class TestDeterminism:
         _, out1, _ = run_capture(capsys, argv)
         _, out2, _ = run_capture(capsys, argv)
         assert out1 == out2
+
+    def test_identity_check_draws_from_the_seeded_mersenne_twister(self, capsys, monkeypatch):
+        # per trial: the site values, then the left value, then the asymptotic value
+        drawn = []
+        generator = cli.gauge_generator_diagonal
+
+        def recording(spec, xi):
+            drawn.append((*xi.values.tolist(), xi.left_value, xi.asymptotic_value))
+            return generator(spec, xi)
+
+        monkeypatch.setattr(cli, "gauge_generator_diagonal", recording)
+        argv = ["lattice", "identity-check", "--sites", "2", "--emax", "1", "--seed", "7",
+                "--trials", "3"]
+        assert run(argv) == run(argv) == 0
+        capsys.readouterr()
+        rng = random.Random(7)
+        trials = [tuple(rng.uniform(-1.0, 1.0) for _ in range(4)) for _ in range(3)]
+        assert drawn == trials + trials
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "report.json"

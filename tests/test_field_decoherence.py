@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from qdeco.field_decoherence import (
 )
 from qdeco.units import (
     CONSTANTS,
+    ELECTRIC_FIELD,
     NATURAL,
+    PhysicalQuantity,
     convert,
     si_efield_v_per_cm,
     si_time_s,
@@ -218,10 +221,9 @@ class TestOutOfRange:
             ("decoherence exponent",
              lambda: decoherence_exponent(si_volume_cm3(0.0), si_efield_v_per_cm(1e300))),
             ("coherence length",
-             lambda: coherence_length(si_efield_v_per_cm(1e-300), threshold_exponent=1e300)),
+             lambda: coherence_length(si_efield_v_per_cm(1e-291), threshold_exponent=1e308)),
             ("coherence length",
-             lambda: coherence_length(si_efield_v_per_cm(1e-295), threshold_exponent=1e308)),
-            ("validity time", lambda: validity_time(si_efield_v_per_cm(1e-305))),
+             lambda: coherence_length(si_efield_v_per_cm(3.5e-292), threshold_exponent=1e308)),
             ("thermal coherence length",
              lambda: thermal_coherence_length(si_time_s(1e-310), ThermalModel(1e-310))),
         ],
@@ -231,9 +233,9 @@ class TestOutOfRange:
             compute()
         assert str(exc.value) == f"{quantity} overflows double precision"
 
-    @pytest.mark.parametrize("e_v_per_cm,rel", [(1e300, 1e-12), (1e-300, 1e-7)])
+    @pytest.mark.parametrize("e_v_per_cm,rel", [(1e300, 1e-12), (1e-291, 1e-11)])
     def test_coherence_length_where_its_cube_is_not_a_double(self, e_v_per_cm, rel):
-        # 1e-300 V/cm is a subnormal number of MeV^2, good to about 8 digits
+        # 1e-291 V/cm is about 6.5e-308 MeV^2, in the lowest decade of normal doubles
         law = LENGTH_AT_1E7_CM * (1e7 / e_v_per_cm) ** (2.0 / 3.0)
         length = coherence_length(si_efield_v_per_cm(e_v_per_cm))
         assert convert(length, "si").magnitude == pytest.approx(law, rel=1e-3, abs=0)
@@ -261,6 +263,16 @@ class TestOutOfRange:
             compute(si_efield_v_per_cm(1e307))
         with pytest.raises(ValueError, match="diverges for zero field$"):
             compute(si_efield_v_per_cm(0.0))
+
+    @pytest.mark.parametrize("compute", [coherence_length, validity_time])
+    def test_subnormal_field_is_refused(self, compute):
+        # a subnormal number of MeV^2 keeps fewer digits than a report prints
+        smallest = PhysicalQuantity(sys.float_info.min, ELECTRIC_FIELD, NATURAL)
+        assert math.isfinite(compute(smallest).magnitude)
+        below = PhysicalQuantity(math.nextafter(sys.float_info.min, 0.0), ELECTRIC_FIELD, NATURAL)
+        for efield in (below, si_efield_v_per_cm(1e-300), si_efield_v_per_cm(-1e-300)):
+            with pytest.raises(ValueError, match="^electric field underflows double precision$"):
+                compute(efield)
 
     def test_large_finite_exponent_still_underflows_the_factor(self):
         volume, field = si_volume_cm3(1e100), si_efield_v_per_cm(1e100)

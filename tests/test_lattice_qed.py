@@ -297,6 +297,16 @@ class TestTotalCharge:
         decomp = charge_sectors(sub)
         assert decomp.sector_sizes() == {-1: 2, 0: 3, 1: 2}
 
+    @pytest.mark.parametrize("sites,e_max,left", [(1, 1, 0), (1, 3, 0), (2, 2, -1), (3, 1, 1)])
+    def test_sectors_match_grouping_by_distinct_charge(self, sites, e_max, left):
+        sub = physical_subspace(LatticeSpec(sites, e_max, left))
+        charge_of = total_charge_diagonal(sub.spec)[sub.basis]
+        want = {int(q): sub.basis[charge_of == q] for q in np.unique(charge_of)}
+        got = charge_sectors(sub).sectors
+        assert list(got) == list(want)
+        for q in want:
+            np.testing.assert_array_equal(got[q], want[q], strict=True)
+
     def test_telescoping_on_kernel(self):
         for spec in (
             LatticeSpec(sites=2, e_max=1),
@@ -730,6 +740,14 @@ class TestSupportFormParity:
                 _, code = _support_table(spec, list(factors))
                 for got, want in zip(_kept_pairs(code), brute_kept_pairs(code), strict=True):
                     np.testing.assert_array_equal(got, want, strict=True)
+
+    def test_support_with_no_kept_pair(self):
+        # (1,3,0) with the charge as the interior: at each field value every charge has its own code
+        _, code = _support_table(LatticeSpec(1, 3, 0), [0])
+        got = _kept_pairs(code)
+        assert got[2].shape == (0, 7)
+        for got_part, want in zip(got, brute_kept_pairs(code), strict=True):
+            np.testing.assert_array_equal(got_part, want, strict=True)
 
     @pytest.mark.parametrize("sites,e_max", [(1, 1), (2, 1), (2, 2), (3, 1)])
     def test_wilson_map_matches_loop(self, sites, e_max):

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -69,6 +73,27 @@ def test_report_matches_pinned_copy(path, capsys):
     assert run(pinned["argv"]) == 0
     current = parse_report(pinned["argv"], capsys.readouterr().out)
     assert_same(current, pinned["report"])
+
+
+def test_reports_load_no_numpy_submodule_they_do_not_use():
+    # numpy.random imports secrets, hashlib and OpenSSL; np.unique without an
+    # index or count output imports numpy.ma.  No report needs either.
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from qdeco.cli import run
+        for path in sys.argv[1:]:
+            argv = json.load(open(path))["argv"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                if run(argv) != 0:
+                    sys.exit(f"{argv} failed")
+            loaded = sorted({"numpy.random", "numpy.ma", "secrets"} & set(sys.modules))
+            if loaded:
+                sys.exit(f"{argv} loaded {loaded}")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, PINNED)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestComparison:
