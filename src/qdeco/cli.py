@@ -66,6 +66,16 @@ from .units import si_efield_v_per_cm, si_time_s, si_volume_cm3
 
 __all__ = ["run", "main", "emit_sweep"]
 
+# ``lattice identity-check`` costs about 20 ns per configuration and trial
+# (12-20 ns from flat_dim 3375 to 19 881) plus about 50 us of fixed work per
+# trial (35-43 us at flat_dim 9 to 81), measured in process on a 2-vCPU x86_64
+# with Python 3.11 and numpy 2.4.  A trial therefore counts as flat_dim + 2500
+# entries, and 1.5e8 entries take at most about 3 s (whole commands just inside
+# the bound took 1.2-2.0 s from (1,1) to (2,23)); the largest benchmark input,
+# (4,1) with 200 trials, is 1.8e6 entries.
+_IDENTITY_TRIAL_ENTRIES = 2500
+_IDENTITY_ENTRY_BOUND = 150_000_000
+
 
 class UsageError(Exception):
     """Bad flags or config keys; maps to exit code 2."""
@@ -363,6 +373,11 @@ def _run_lattice_identity(v: dict):
         raise ValueError("trials must be >= 1")
     if v["seed"] < 0:
         raise ValueError("seed must be >= 0")
+    if v["trials"] * (spec.flat_dim + _IDENTITY_TRIAL_ENTRIES) > _IDENTITY_ENTRY_BOUND:
+        raise ValueError(
+            f"{v['trials']} trials x (flat dimension {spec.flat_dim} + {_IDENTITY_TRIAL_ENTRIES})"
+            f" exceeds bound {_IDENTITY_ENTRY_BOUND}"
+        )
     rng = random.Random(v["seed"])  # numpy.random would load secrets, hashlib and OpenSSL
     subspace = physical_subspace(spec)
     charge_phys = total_charge_diagonal(spec)[subspace.basis]

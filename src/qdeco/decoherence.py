@@ -126,9 +126,10 @@ def equal_overlap_spec(coefficients, overlap: float) -> CorrelatedStateSpec:
 def _check_reduced_dim(dim: int):
     """Refuse a (system, apparatus) dimension above ``DENSE_OPERATOR_LIMIT``.
 
-    The reduced state is kept on its support, so no dense matrix of this
-    dimension is formed; for ``tripartite`` the n^2 bound guards the size
-    of the n^3-amplitude state that :func:`build_correlated_state` builds.
+    The state is built on its support rows and the reduced state is kept on
+    its support, so no dense matrix of this dimension is formed; for
+    ``tripartite`` the n^2 bound guards the size of the zero n^3-amplitude
+    state into which :func:`build_correlated_state` scatters its n rows.
     """
     if dim > DENSE_OPERATOR_LIMIT:
         raise ValueError(
@@ -139,11 +140,15 @@ def _check_reduced_dim(dim: int):
 def build_correlated_state(spec: CorrelatedStateSpec) -> StateVector:
     """Assemble sum_n c_n phi_n (x) Phi_n (x) env_n with layout (dim_S, dim_A, dim_E).
 
-    The branch sum is one matrix product: the rows c_n phi_n (x) Phi_n, as an
-    n x (dim_S dim_A) matrix, transposed and multiplied by the n x dim_E matrix
-    of environments.  A state whose (system, apparatus) dimension exceeds the
-    bound of :func:`reduce_to_apparatus` is refused before any branch data is
-    stacked.
+    Only the (system, apparatus) rows that some branch reaches are computed:
+    the support is every flat (s, a) at which some phi_n[s] Phi_n[a] is
+    nonzero, one boolean dim_S x dim_A product.  The branch entries
+    c_n phi_n[s] Phi_n[a] on it, an n x |support| matrix, are transposed and
+    multiplied by the n x dim_E matrix of environments, and the rows are
+    scattered into the zero (dim_S dim_A) x dim_E state.  For n branches
+    |n n> that is n rows of the n^2.  A state whose (system, apparatus)
+    dimension exceeds the bound of :func:`reduce_to_apparatus` is refused
+    before any branch data is stacked.
     Raises :class:`NormalizationError` when the state built from the branch
     data does not have unit norm; non-orthogonal branches are accepted but
     never silently renormalized.
@@ -153,15 +158,19 @@ def build_correlated_state(spec: CorrelatedStateSpec) -> StateVector:
         np.stack([s.amplitudes for s in states])
         for states in (spec.system_states, spec.apparatus_states, spec.environment_states)
     )
-    branches = spec.coefficients[:, None, None] * system[:, :, None] * apparatus[:, None, :]
-    psi = branches.reshape(spec.n_branches, -1).T @ environment
-    norm = float(np.linalg.norm(psi))
+    dim_s, dim_a, dim_e = system.shape[1], apparatus.shape[1], environment.shape[1]
+    support = np.flatnonzero((system != 0).T @ (apparatus != 0))
+    s, a = np.divmod(support, dim_a)
+    rows = (spec.coefficients[:, None] * system[:, s] * apparatus[:, a]).T @ environment
+    norm = float(np.linalg.norm(rows))
     if abs(norm**2 - 1.0) > NORM_TOL:
         raise NormalizationError(
             f"correlated state has norm {norm:.6f}, expected 1; "
             "adjust the coefficients for the given branch overlaps"
         )
-    return StateVector(TensorLayout((*branches.shape[1:], environment.shape[1])), psi.ravel())
+    psi = np.zeros((dim_s * dim_a, dim_e), dtype=np.complex128)
+    psi[support] = rows
+    return StateVector(TensorLayout((dim_s, dim_a, dim_e)), psi.ravel())
 
 
 def reduce_to_apparatus(psi: StateVector) -> DensityMatrix:

@@ -294,10 +294,7 @@ def boundary_decomposition_diagonals(
     v = _gauge_arrays(spec, xi)
     _, fields, divergence = _config_table(spec)
     surface = xi.asymptotic_value * fields[:, -1] - xi.left_value * spec.left_field
-    bulk = np.zeros(spec.flat_dim)
-    for x in range(spec.sites):
-        bulk -= v[x] * divergence[:, x]
-    return surface, bulk
+    return surface, -(divergence @ v)
 
 
 def total_charge_diagonal(spec: LatticeSpec) -> np.ndarray:

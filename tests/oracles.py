@@ -159,6 +159,20 @@ def brute_gauss_eigenvalues(config, sites: int, left_field: int) -> tuple[int, .
     return tuple(out)
 
 
+def brute_generator_value(config, sites: int, left_field: int, xi) -> float:
+    """The gauge generator's stencil sum at one configuration.
+
+    sum_x E_x (xi_{x+1} - xi_x) with xi_{N+1} the asymptotic value, plus
+    E_0 (xi_1 - left value) for the fixed left field E_0, plus sum_x q_x xi_x.
+    """
+    charges, fields = config[:sites], config[sites:]
+    values = [float(v) for v in xi.values] + [xi.asymptotic_value]
+    total = left_field * (values[0] - xi.left_value)
+    for x in range(sites):
+        total += fields[x] * (values[x + 1] - values[x]) + charges[x] * values[x]
+    return total
+
+
 def brute_commutant_basis(sites: int, e_max: int, left_field: int, factors) -> list[np.ndarray]:
     """Dense Hermitian constraint-commuting operators on the given tuple positions.
 

@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 import qdeco.cli as cli
+import qdeco.lattice_qed as lattice_qed
 from qdeco.cli import emit_sweep, run
 from qdeco.decoherence import ENTROPY_CHECK_TOL, NORM_TOL
 from qdeco.lattice_qed import CROSS_ELEMENT_TOL
@@ -261,6 +262,28 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, argv)
         assert (code, out) == (1, "")
         assert err == f"qdeco: validation error: {message}\n"
+
+    def test_identity_check_over_its_cost_bound_refused_before_enumerating(
+        self, capsys, monkeypatch
+    ):
+        # at about 0.1 ms per (4,1) trial, 1e8 trials would run for hours
+        def enumerate_spec(spec):
+            raise AssertionError("enumerated a refused spec")
+
+        monkeypatch.setattr(lattice_qed, "_enumerate", enumerate_spec)
+        argv = ["lattice", "identity-check", "--sites", "4", "--emax", "1", "--seed", "1",
+                "--trials", "100000000"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "qdeco: validation error: 100000000 trials x (flat dimension 6561 + 2500)"
+            " exceeds bound 150000000\n"
+        )
+
+    def test_identity_check_cost_bound_admits_the_benchmark_inputs(self):
+        # the largest benchmark input, (4,1) x 200 trials, by a wide margin
+        largest = 200 * (6561 + cli._IDENTITY_TRIAL_ENTRIES)
+        assert 50 * largest < cli._IDENTITY_ENTRY_BOUND
 
     def test_unwritable_out_is_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"

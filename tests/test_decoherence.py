@@ -62,6 +62,76 @@ def env_pair_with_overlap(r: float) -> list[StateVector]:
     return [qubit(1.0, 0.0), qubit(r, math.sqrt(1.0 - r**2))]
 
 
+def _vec(*amplitudes) -> np.ndarray:
+    return np.array(amplitudes, dtype=complex)
+
+
+def _random_branches():
+    # unequal weights and non-orthogonal branches in every factor
+    rng = np.random.default_rng(61)
+    factors = [[random_state(rng, d) for _ in range(3)] for d in (2, 3, 4)]
+    return [0.5, 0.3 + 0.4j, 0.9], factors
+
+
+def _basis_and_two_term():
+    rng = np.random.default_rng(67)
+    h = INV_SQRT2
+    system = [_vec(1, 0, 0), _vec(0, h, h), _vec(0, 0, 1)]
+    apparatus = [_vec(h, 0, -1j * h), _vec(0, 1, 0), _vec(0, 1, 0)]
+    return [0.6, 0.5j, 0.4], [system, apparatus, [random_state(rng, 2) for _ in range(3)]]
+
+
+def _zero_coefficient():
+    # the zero branch's rows are computed but hold no amplitude
+    rng = np.random.default_rng(71)
+    system = [_vec(1, 0), _vec(0, 1), _vec(INV_SQRT2, INV_SQRT2)]
+    apparatus = [_vec(1, 0), _vec(0, 1), _vec(0, 1)]
+    return [0.8, 0.6, 0.0], [system, apparatus, [random_state(rng, 3) for _ in range(3)]]
+
+
+def _unequal_system_and_apparatus():
+    rng = np.random.default_rng(73)
+    system = [_vec(1, 0), _vec(0, 1)]
+    apparatus = [_vec(0, 0, 1, 0, 0), _vec(0, INV_SQRT2, 0, 0, INV_SQRT2)]
+    return [0.6, 0.8j], [system, apparatus, [random_state(rng, 3) for _ in range(2)]]
+
+
+def _cancelling_row():
+    # branches 0 and 1 cancel exactly on row (0, 0) and leave -0.5 on row (0, 1)
+    system = [_vec(1, 0), _vec(1, 0), _vec(0, 1)]
+    apparatus = [_vec(1, 0), _vec(1, 1), _vec(0, 1)]
+    environment = [_vec(1, 0), _vec(1, 0), _vec(0, 1)]
+    return [0.5, -0.5, math.sqrt(0.75)], [system, apparatus, environment]
+
+
+SPARSE_KRON_CASES = {
+    "basis-and-two-term": _basis_and_two_term,
+    "zero-coefficient": _zero_coefficient,
+    "unequal-system-and-apparatus": _unequal_system_and_apparatus,
+    "cancelling-row": _cancelling_row,
+}
+
+
+def assert_matches_kron_oracle(coeffs, factors):
+    """The built state equals the kron sum, and its reduction's support is the nonzero rows."""
+    dims = tuple(len(factor[0]) for factor in factors)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    coeffs /= np.linalg.norm(brute_correlated_state(coeffs, *factors))
+    spec = CorrelatedStateSpec(
+        coeffs,
+        *[[StateVector(TensorLayout((d,)), a) for a in factor]
+          for d, factor in zip(dims, factors)],
+    )
+    psi = build_correlated_state(spec)
+    brute = brute_correlated_state(coeffs, *factors)
+    assert psi.layout.dims == dims
+    np.testing.assert_allclose(psi.amplitudes, brute, rtol=0, atol=1e-13)
+    rows = brute.reshape(dims[0] * dims[1], dims[2])
+    np.testing.assert_array_equal(
+        reduce_to_apparatus(psi).support, np.flatnonzero(np.any(rows != 0, axis=1))
+    )
+
+
 class TestBuildCorrelatedState:
     def test_single_branch_is_product(self):
         spec = CorrelatedStateSpec(
@@ -108,22 +178,11 @@ class TestBuildCorrelatedState:
             build_correlated_state(spec)
 
     def test_matches_kron_oracle(self):
-        # unequal weights and non-orthogonal branches in every factor
-        rng = np.random.default_rng(61)
-        dims = (2, 3, 4)
-        amplitudes = [[random_state(rng, d) for _ in range(3)] for d in dims]
-        coeffs = np.array([0.5, 0.3 + 0.4j, 0.9])
-        coeffs /= np.linalg.norm(brute_correlated_state(coeffs, *amplitudes))
-        spec = CorrelatedStateSpec(
-            coeffs,
-            *[[StateVector(TensorLayout((d,)), a) for a in factor]
-              for d, factor in zip(dims, amplitudes)],
-        )
-        psi = build_correlated_state(spec)
-        assert psi.layout.dims == dims
-        np.testing.assert_allclose(
-            psi.amplitudes, brute_correlated_state(coeffs, *amplitudes), rtol=0, atol=1e-13
-        )
+        assert_matches_kron_oracle(*_random_branches())
+
+    @pytest.mark.parametrize("case", sorted(SPARSE_KRON_CASES))
+    def test_matches_kron_oracle_on_sparse_specs(self, case):
+        assert_matches_kron_oracle(*SPARSE_KRON_CASES[case]())
 
     def test_refuses_a_reduction_over_the_dense_bound(self):
         # one branch, but a 46 x 46 (system, apparatus) state would exceed 2048
@@ -340,6 +399,20 @@ class TestSupportForm:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [28, 45])
+    def test_build_allocates_little_beyond_the_state(self, n):
+        # the state is n^3 amplitudes of 16 B; an n x n^2 branch array and a
+        # product over all n^2 rows would take about 2.1 times that
+        spec = equal_overlap_spec(np.full(n, n**-0.5), 0.3)
+        build_correlated_state(spec)  # warm
+        tracemalloc.start()
+        try:
+            build_correlated_state(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n**3 * 16
 
 
 class TestEnvironmentOverlap:

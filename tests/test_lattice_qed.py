@@ -43,6 +43,7 @@ from oracles import (
     brute_operator_count,
     brute_force_gauss_kernel,
     brute_gauss_eigenvalues,
+    brute_generator_value,
     brute_wilson_line,
     lattice_configurations,
 )
@@ -129,10 +130,8 @@ class TestGaussOperator:
     @pytest.mark.parametrize("sites,e_max", [(1, 1), (2, 1), (2, 2), (3, 1)])
     def test_matches_brute_eigenvalues(self, sites, e_max, left):
         spec = LatticeSpec(sites=sites, e_max=e_max, left_field=left)
-        ref = np.array([
-            brute_gauss_eigenvalues(config, sites, left)
-            for config in lattice_configurations(sites, e_max)
-        ])
+        configs = lattice_configurations(sites, e_max)
+        ref = np.array([brute_gauss_eigenvalues(config, sites, left) for config in configs])
         for x in range(1, sites + 1):
             np.testing.assert_array_equal(gauss_diagonal(spec, x), ref[:, x - 1])
 
@@ -141,6 +140,10 @@ class TestGaussOperator:
             xi = random_gauge(rng, sites)
             _, bulk = boundary_decomposition_diagonals(spec, xi)
             np.testing.assert_allclose(bulk, -(ref @ xi.values), rtol=0, atol=1e-12)
+            stencil = [brute_generator_value(config, sites, left, xi) for config in configs]
+            np.testing.assert_allclose(
+                gauge_generator_diagonal(spec, xi), stencil, rtol=0, atol=1e-12
+            )
 
 
 class TestPhysicalSubspace:
