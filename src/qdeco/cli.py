@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .decoherence import (
     ENTROPY_CHECK_TOL,
+    MAX_BATH_SIZE,
     NORM_TOL,
     SpinBathModel,
     build_correlated_state,
@@ -320,6 +321,10 @@ def _run_tripartite(v: dict):
 
 def _run_dephasing(v: dict):
     n = v["spins"]
+    if n < 1:
+        raise ValueError("spins must be >= 1")
+    if n > MAX_BATH_SIZE:  # before one coupling is repeated n times
+        raise ValueError(f"bath_size {n} exceeds the 2^N bath-energy table bound {MAX_BATH_SIZE}")
     if len(v["coupling"]) == 1:
         v["coupling"] = v["coupling"] * n
     if len(v["coupling"]) != n:
@@ -373,9 +378,12 @@ def _run_lattice_identity(v: dict):
         raise ValueError("trials must be >= 1")
     if v["seed"] < 0:
         raise ValueError("seed must be >= 0")
-    if v["trials"] * (spec.flat_dim + _IDENTITY_TRIAL_ENTRIES) > _IDENTITY_ENTRY_BOUND:
+    dim = spec.flat_dim_or_power(_IDENTITY_ENTRY_BOUND)
+    if isinstance(dim, str) or (
+        v["trials"] * (dim + _IDENTITY_TRIAL_ENTRIES) > _IDENTITY_ENTRY_BOUND
+    ):
         raise ValueError(
-            f"{v['trials']} trials x (flat dimension {spec.flat_dim} + {_IDENTITY_TRIAL_ENTRIES})"
+            f"{v['trials']} trials x (flat dimension {dim} + {_IDENTITY_TRIAL_ENTRIES})"
             f" exceeds bound {_IDENTITY_ENTRY_BOUND}"
         )
     rng = random.Random(v["seed"])  # numpy.random would load secrets, hashlib and OpenSSL

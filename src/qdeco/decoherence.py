@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9  # unit norm of a built state or of the system weights
-_MAX_BATH_SIZE = 12
+MAX_BATH_SIZE = 12
 _PHASE_BLOCK = 2**14  # (time, energy) entries per block of the bath phase table
 ENTROPY_CHECK_TOL = 1e-9
 
@@ -326,9 +326,9 @@ def spin_bath_evolve(model: SpinBathModel, times) -> DephasingCurve:
     of states that have it.  Returns the coherence |rho01| / sqrt(rho00 rho11)
     and the entropy of the validated spectra.
     """
-    if model.bath_size > _MAX_BATH_SIZE:
+    if model.bath_size > MAX_BATH_SIZE:
         raise ValueError(
-            f"bath_size {model.bath_size} exceeds the 2^N bath-energy table bound {_MAX_BATH_SIZE}"
+            f"bath_size {model.bath_size} exceeds the 2^N bath-energy table bound {MAX_BATH_SIZE}"
         )
     t_arr = np.asarray(times, dtype=np.float64).ravel()
     if np.any(t_arr < 0):

@@ -39,7 +39,6 @@ TRACE_TOL = 1e-10
 _POSITIVITY_TOL = 1e-10
 _DIAG_FLOOR = 1e-30
 DENSE_OPERATOR_LIMIT = 2048  # largest flat dimension of an explicit dense matrix
-_HERMITICITY_BLOCK = 2**16  # entries per row block of the Hermiticity check
 
 
 class NormalizationError(ValueError):
@@ -65,9 +64,6 @@ class TensorLayout:
     @property
     def n_factors(self) -> int:
         return len(self.dims)
-
-    def concat(self, other: "TensorLayout") -> "TensorLayout":
-        return TensorLayout(self.dims + other.dims)
 
 
 def _as_complex_vector(amplitudes) -> np.ndarray:
@@ -146,21 +142,12 @@ class Operator:
 def _check_hermitian(entries: np.ndarray) -> None:
     """Raise unless every matrix of ``entries`` ``(..., d, d)`` is Hermitian within tolerance.
 
-    The deviation is taken one block of rows at a time, from the block's
-    diagonal rightwards, so no second full-size array is formed and each pair
-    (j, k) is compared once; |a_jk - conj(a_kj)| is symmetric in j and k.
     Non-finite entries are refused first, since no tolerance test catches NaN.
     """
     if not np.isfinite(entries).all():
         raise ValueError("density matrix has non-finite entries")
-    d = entries.shape[-1]
-    rows = max(1, _HERMITICITY_BLOCK // max(1, entries[..., :1, :].size))
-    blocks = (
-        entries[..., i : i + rows, i:] - np.swapaxes(entries[..., i:, i : i + rows], -1, -2).conj()
-        for i in range(0, d, rows)
-    )
     # initial= lets an empty stack through
-    dev = np.max([np.max(np.abs(b), initial=0.0) for b in blocks], initial=0.0)
+    dev = np.max(np.abs(entries - np.swapaxes(entries, -1, -2).conj()), initial=0.0)
     if dev > HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
 
@@ -250,7 +237,7 @@ def basis_state(dim: int, index: int) -> StateVector:
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product a (x) b; layouts concatenate, norms multiply."""
-    return StateVector(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes))
+    return StateVector(TensorLayout(a.layout.dims + b.layout.dims), np.kron(a.amplitudes, b.amplitudes))
 
 
 def spectrum_entropy(p: np.ndarray) -> np.ndarray:

@@ -102,6 +102,17 @@ class LatticeSpec:
     def flat_dim(self) -> int:
         return 3**self.sites * self.link_dim**self.sites
 
+    def flat_dim_or_power(self, bound: int) -> int | str:
+        """``flat_dim``, or the text ``(3(2e+1))^N`` when it exceeds 2.718 x ``bound``.
+
+        The exact integer has N log10(3(2e+1)) digits, so far over a bound,
+        tested as N ln(3(2e+1)) > ln(bound) + 1, it is neither formed nor
+        printed: a refusal then costs microseconds at any N.
+        """
+        if self.sites * math.log(3 * self.link_dim) > math.log(bound) + 1:
+            return f"{3 * self.link_dim}^{self.sites}"
+        return self.flat_dim
+
     @property
     def layout(self) -> TensorLayout:
         # Site charge factors first, then link field factors; configurations
@@ -159,11 +170,16 @@ def _config_table(spec: LatticeSpec) -> _ConfigTable:
     cache is consulted.  The bound allows at most N = 4 sites, so one table
     takes at most 20 000 x 4 x 3 x 8 B, about 1.9 MB.
     """
-    if spec.flat_dim > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"flat dimension {spec.flat_dim} exceeds enumeration bound {ENUMERATION_LIMIT}"
-        )
+    _checked_flat_dim(spec, ENUMERATION_LIMIT, "enumeration")
     return _enumerate(spec)
+
+
+def _checked_flat_dim(spec: LatticeSpec, bound: int, name: str) -> int:
+    """``spec.flat_dim``, or a refusal that names the bound it exceeds."""
+    dim = spec.flat_dim_or_power(bound)
+    if isinstance(dim, str) or dim > bound:
+        raise ValueError(f"flat dimension {dim} exceeds {name} bound {bound}")
+    return dim
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -335,9 +351,7 @@ def wilson_line(spec: LatticeSpec, x: int) -> Operator:
     string to amplitudes as an index map, without the dense matrix.
     """
     spec._check_site(x)
-    dim = spec.flat_dim
-    if dim > DENSE_OPERATOR_LIMIT:
-        raise ValueError(f"flat dimension {dim} exceeds dense bound {DENSE_OPERATOR_LIMIT}")
+    dim = _checked_flat_dim(spec, DENSE_OPERATOR_LIMIT, "dense")
     src, dst = _wilson_map(spec, x)
     entries = np.zeros((dim, dim), dtype=np.complex128)
     entries[dst, src] = 1.0
@@ -464,9 +478,7 @@ def _commutant_basis(spec: LatticeSpec, factors: list[int]) -> list[Operator]:
     First the d_int normalized projectors P_a, then (U + U^dag) and i (U - U^dag)
     of each kept pair, normalized by the number of kept exterior configurations.
     """
-    dim = spec.flat_dim
-    if dim > DENSE_OPERATOR_LIMIT:
-        raise ValueError(f"flat dimension {dim} exceeds dense bound {DENSE_OPERATOR_LIMIT}")
+    dim = _checked_flat_dim(spec, DENSE_OPERATOR_LIMIT, "dense")
     position, code = _support_table(spec, factors)
     ops = []
     for rows in position:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -284,6 +285,56 @@ class TestExitCodes:
         # the largest benchmark input, (4,1) x 200 trials, by a wide margin
         largest = 200 * (6561 + cli._IDENTITY_TRIAL_ENTRIES)
         assert 50 * largest < cli._IDENTITY_ENTRY_BOUND
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["lattice", "superselect", "--sites", "1000000000", "--emax", "1",
+              "--left-field", "0"],
+             "flat dimension 9^1000000000 exceeds enumeration bound 20000"),
+            (["lattice", "identity-check", "--sites", "1000000000", "--emax", "1",
+              "--seed", "1"],
+             "50 trials x (flat dimension 9^1000000000 + 2500) exceeds bound 150000000"),
+            (["lattice", "superselect", "--sites", "60", "--emax", "1", "--left-field", "0"],
+             "flat dimension 9^60 exceeds enumeration bound 20000"),
+            (["lattice", "identity-check", "--sites", "1000", "--emax", "1", "--seed", "1"],
+             "50 trials x (flat dimension 9^1000 + 2500) exceeds bound 150000000"),
+        ],
+        ids=["superselect-1e9", "identity-1e9", "superselect-60", "identity-1000"],
+    )
+    def test_oversized_lattice_refused_at_once_on_a_short_line(self, capsys, argv, message):
+        # 3^N (2e+1)^N has about N digits: forming it takes seconds at 1e6 sites,
+        # and Python prints no integer of more than 4300 digits
+        start = time.perf_counter()
+        code, out, err = run_capture(capsys, argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (1, "")
+        assert err == f"qdeco: validation error: {message}\n"
+        assert len(err) <= 121  # one line of at most 120 characters
+        assert elapsed < 1.0
+
+    def test_dephasing_spins_below_one_refused(self, capsys):
+        argv = ["dephasing", "--spins", "-5", "--coupling", "1", "--t-max", "1", "--steps", "3"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "qdeco: validation error: spins must be >= 1\n"
+
+    def test_dephasing_over_the_bath_bound_refused_before_repeating_the_coupling(self, capsys):
+        # one coupling repeated 1e9 times would take about 16 GB
+        argv = ["dephasing", "--spins", "1000000000", "--coupling", "1", "--t-max", "1",
+                "--steps", "3"]
+        tracemalloc.start()
+        try:
+            code, out, err = run_capture(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == (
+            "qdeco: validation error: bath_size 1000000000 exceeds the 2^N bath-energy table"
+            " bound 12\n"
+        )
+        assert peak < 2**20
 
     def test_unwritable_out_is_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"

@@ -174,7 +174,7 @@ class TestEigendecomposition:
 
     @pytest.mark.parametrize("j,k", [(250, 10), (10, 250), (299, 0), (299, 298)])
     def test_rejects_non_hermitian_across_row_blocks(self, j, k):
-        # 300 x 300 spans two row blocks of the Hermiticity check
+        # one entry below or above the diagonal, far from it or in the last row
         m = np.eye(300, dtype=complex) / 300.0
         m[j, k] = 1e-3j
         with pytest.raises(ValueError) as exc:

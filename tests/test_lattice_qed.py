@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -798,6 +799,31 @@ class TestConfigTable:
             with pytest.raises(ValueError, match="enumeration bound"):
                 gauss_diagonal(spec, 1)
         assert _enumerate.cache_info().misses == misses  # refused before enumerating
+
+    @pytest.mark.parametrize(
+        "sites,e_max,bound,expected",
+        [
+            (60, 1, 20000, "9^60"),
+            (3, 7, 20000, "45^3"),  # 91125 > 2.718 x 20000
+            (4, 2, 20000, 50625),  # 50625 < 2.718 x 20000: exact
+            (4, 1, 2048, "9^4"),
+            (3, 2, 2048, 3375),
+            (1, 1, 3, "9^1"),  # 9 > 2.718 x 3
+            (1, 1, 4, 9),  # 9 < 2.718 x 4
+        ],
+    )
+    def test_flat_dim_or_power(self, sites, e_max, bound, expected):
+        got = LatticeSpec(sites=sites, e_max=e_max).flat_dim_or_power(bound)
+        assert (type(got), got) == (type(expected), expected)
+
+    def test_oversized_spec_refused_at_once(self):
+        spec = LatticeSpec(sites=10**9, e_max=1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^flat dimension 9\^1000000000 exceeds enumeration"):
+            physical_subspace(spec)
+        with pytest.raises(ValueError, match=r"^flat dimension 9\^1000000000 exceeds dense bound"):
+            wilson_line(spec, 1)
+        assert time.perf_counter() - start < 1.0
 
     def test_table_is_read_only(self):
         table = _config_table(LatticeSpec(sites=2, e_max=1))
