@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .hilbert import (
     _DIAG_FLOOR,
     DENSE_OPERATOR_LIMIT,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from functools import reduce
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "NormalizationError",

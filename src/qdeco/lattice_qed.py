@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Collection, NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .hilbert import DENSE_OPERATOR_LIMIT, Operator, StateVector, TensorLayout
 
 __all__ = [

@@ -62,11 +62,16 @@ class TestEmitSweep:
 
 
     def test_non_finite_value_refused_first_in_row_order(self):
-        rows = [(1.0, 2.0), (3.0, math.inf), (math.nan, 4.0)]
-        with pytest.raises(ValueError, match="^refusing to serialize non-finite value inf$"):
-            emit_sweep(rows, ["a", "b"])
-        with pytest.raises(ValueError, match="^refusing to serialize non-finite value inf$"):
-            cli._to_json({"rows": cli._Sweep(["a", "b"], rows)})
+        for rows, first in [
+            ([(1.0, 2.0), (3.0, math.inf), (math.nan, 4.0)], "inf"),
+            ([(1.0, 2.0), (-math.inf, math.nan)], "-inf"),
+            ([(1.0, math.nan), (math.inf, 4.0)], "nan"),
+        ]:
+            message = f"^refusing to serialize non-finite value {first}$"
+            with pytest.raises(ValueError, match=message):
+                emit_sweep(rows, ["a", "b"])
+            with pytest.raises(ValueError, match=message):
+                cli._to_json({"rows": cli._Sweep(["a", "b"], rows)})
 
     def test_integers_keep_every_digit(self):
         assert emit_sweep([(10**13, 0.5)], ["n", "x"]) == "n,x\n10000000000000,0.5\n"
@@ -335,6 +340,48 @@ class TestExitCodes:
             " bound 12\n"
         )
         assert peak < 2**20
+
+    def test_dephasing_over_the_steps_bound_refused_before_the_time_grid(
+        self, capsys, monkeypatch
+    ):
+        # 1e8 steps would take about 56 GB of report; the time grid alone 800 MB
+        def evolve(model, times):
+            raise AssertionError("evolved a refused input")
+
+        monkeypatch.setattr(cli, "spin_bath_evolve", evolve)
+        for steps in (cli._DEPHASING_STEP_BOUND + 1, 100_000_000):
+            argv = ["dephasing", "--spins", "12", "--coupling", "1", "--t-max", "6",
+                    "--steps", str(steps)]
+            tracemalloc.start()
+            try:
+                code, out, err = run_capture(capsys, argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, out) == (1, "")
+            assert err == (
+                f"qdeco: validation error: {steps} steps x 565 B exceeds the 256 MiB report"
+                " bound of 475107 steps\n"
+            )
+            assert peak < 2**20
+
+    def test_dephasing_steps_bound_admits_its_own_value(self, capsys, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def evolve(model, times):
+            assert len(times) == cli._DEPHASING_STEP_BOUND
+            raise Admitted
+
+        monkeypatch.setattr(cli, "spin_bath_evolve", evolve)
+        argv = ["dephasing", "--spins", "12", "--coupling", "1", "--t-max", "6",
+                "--steps", str(cli._DEPHASING_STEP_BOUND)]
+        with pytest.raises(Admitted):
+            run(argv)
+
+    def test_dephasing_steps_bound_admits_the_benchmark_inputs(self):
+        # the benchmark's dephasing runs take at most 2000 steps
+        assert 100 * 2000 < cli._DEPHASING_STEP_BOUND
 
     def test_unwritable_out_is_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"

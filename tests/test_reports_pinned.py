@@ -75,10 +75,16 @@ def test_report_matches_pinned_copy(path, capsys):
     assert_same(current, pinned["report"])
 
 
+def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_reports_load_no_numpy_submodule_they_do_not_use():
     # numpy.random imports secrets, hashlib and OpenSSL; np.unique without an
     # index or count output imports numpy.ma.  No report needs either.
-    script = textwrap.dedent("""
+    proc = _fresh_python("""
         import contextlib, io, json, sys
         from qdeco.cli import run
         for path in sys.argv[1:]:
@@ -89,10 +95,57 @@ def test_reports_load_no_numpy_submodule_they_do_not_use():
             loaded = sorted({"numpy.random", "numpy.ma", "secrets"} & set(sys.modules))
             if loaded:
                 sys.exit(f"{argv} loaded {loaded}")
+    """, *map(str, PINNED))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_form_reports_never_execute_numpy():
+    # executing numpy costs about 100 ms, and the field and thermal formulas are
+    # pure math/cmath; numpy.linalg is loaded by numpy's own __init__ (1.24, 2.x)
+    closed_form = [p for p in PINNED
+                   if json.loads(p.read_text())["argv"][0] in ("field", "thermal")]
+    assert len(closed_form) == 4
+    proc = _fresh_python("""
+        import contextlib, io, json, sys
+        from qdeco.cli import run
+        argvs = [json.load(open(path))["argv"] for path in sys.argv[1:]]
+        cases = [(argv, 0) for argv in argvs]
+        cases += [([*argv, "--format", "csv"], 0) for argv in argvs]
+        cases.append((["field", "factor", "--volume-cm3", "-1", "--efield-v-per-cm", "1e7"], 1))
+        quiet = io.StringIO()
+        for argv, expected in cases:
+            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+                if run(argv) != expected:
+                    sys.exit(f"{argv} did not exit {expected}")
+            if "numpy.linalg" in sys.modules:
+                sys.exit(f"{argv} executed numpy")
+    """, *map(str, closed_form))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_numpy_fails_the_import_and_numpy_imported_later_is_shared():
+    proc = _fresh_python("""
+        import sys
+        sys.modules["numpy"] = None
+        try:
+            import qdeco.cli
+        except ModuleNotFoundError as exc:
+            sys.exit(0 if exc.name == "numpy" else f"wrong module: {exc!r}")
+        sys.exit("import qdeco.cli succeeded without numpy")
     """)
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, PINNED)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # an import statement after qdeco's reads numpy's __spec__ and so executes it
+    proc = _fresh_python("""
+        import sys, types
+        import qdeco.cli, qdeco.decoherence, qdeco.hilbert, qdeco.lattice_qed
+        from qdeco._numpy import np
+        import numpy
+        assert numpy is np and numpy is sys.modules["numpy"], numpy
+        for layer in (qdeco.cli, qdeco.decoherence, qdeco.hilbert, qdeco.lattice_qed):
+            assert layer.np is numpy, layer
+        assert type(numpy) is types.ModuleType and "numpy.linalg" in sys.modules
+        assert numpy.linalg.eigvalsh(numpy.eye(2)).tolist() == [1.0, 1.0]
+    """)
     assert proc.returncode == 0, proc.stderr
 
 
