@@ -78,7 +78,7 @@ check = entropy_curve(curve)
 print(f"{n_spins} bath spins, random couplings, equal system weights.")
 print()
 print(f"{'t':>6} {'|r(t)| evolved':>15} {'|r(t)| closed':>15} {'entropy':>10}")
-for t, c, s in curve.rows():
+for t, c, s in zip(curve.times, curve.coherence, curve.entropy):
     print(f"{t:6.2f} {c:15.10f} {spin_bath_coherence(model, t):15.10f} {s:10.6f}")
 print()
 print(f"entropy matches h((1-|r|)/2) to {check.max_deviation:.2e};")

@@ -9,6 +9,8 @@ and takes the largest residuals, because perfbench traces
 largest deviation of the evolution from the closed-form oracle, a check that
 compares two library results.  Reports have a stable key order and
 12-significant-digit floats, so identical invocations are byte-identical.
+The ``dephasing`` sweep leaves its runner as the curve's float64 columns by
+name, in CSV order; only the renderer here turns them into rows.
 
 Every layer is imported eagerly, because perfbench's tracer looks each one up
 in ``sys.modules`` and wraps its functions where this module binds them; numpy
@@ -29,7 +31,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import __version__
 from ._numpy import np
@@ -69,7 +71,7 @@ from .lattice_qed import (
 )
 from .units import si_efield_v_per_cm, si_time_s, si_volume_cm3
 
-__all__ = ["run", "main", "emit_sweep"]
+__all__ = ["run", "main"]
 
 # ``lattice identity-check`` costs about 20 ns per configuration and trial
 # (12-20 ns from flat_dim 3375 to 19 881) plus about 50 us of fixed work per
@@ -84,7 +86,7 @@ _IDENTITY_ENTRY_BOUND = 150_000_000
 # The ``dephasing`` report costs about 565 B and 6 us per time step: whole
 # commands with --spins 12 --coupling 1.0 peaked at 32 MiB RSS in 0.29 s with
 # 2000 steps and at 300 MiB in 3.4 s with 500 000, on the same machine.  The
-# row tuples and the rendered sweep set the peak, not the evolution.  A report
+# rows and the rendered sweep set the peak, not the evolution.  A report
 # budget of 256 MiB bounds --steps at 475 107, far above the benchmark's 2000.
 _DEPHASING_STEP_BYTES = 565
 _DEPHASING_REPORT_BYTES = 256 * 2**20
@@ -117,47 +119,34 @@ def _format_number(x) -> str:
     return format(x, ".12g")
 
 
-class _Sweep(NamedTuple):
-    """Sweep rows under their header; ``_to_json`` writes one object per row."""
-
-    header: list
-    rows: list
+class _Sweep(dict):
+    """A sweep's float64 columns by name, in CSV order; ``_to_json`` writes one object per row."""
 
 
-def _row_values(rows: list[tuple], width: int) -> tuple[str, list[tuple]]:
-    """The %-format slot of a table of numbers and the row values it takes.
+def _sweep_text(sweep: dict, keys: list, row: str, sep: str) -> str:
+    """The sweep's rows, each filled into ``row`` (one ``%.12g`` per key), joined by ``sep``.
 
-    Rows of floats keep their values for ``%.12g`` after one finiteness check
-    of the whole table; other rows become ``_format_number`` strings for
-    ``%s``.  Either way a value prints as ``_format_number`` prints it, and the
-    first non-finite value in row order is refused with its message.
+    The columns are stacked once and checked for finiteness once; the first
+    non-finite value in CSV row order is refused with ``_format_number``'s
+    message.  One format call fills the repeated row template from the values
+    of the whole table, taken row by row with the columns in ``keys`` order.
     """
-    for r in rows:
-        if len(r) != width:
-            raise ValueError(f"row width {len(r)} does not match header width {width}")
-    if rows and all(isinstance(x, float) for r in rows for x in r):
-        bad = next((x for r in rows for x in r if not math.isfinite(x)), None)
-        if bad is not None:
-            raise ValueError(f"refusing to serialize non-finite value {bad}")
-        return "%.12g", rows
-    return "%s", [tuple(map(_format_number, r)) for r in rows]
+    table = np.column_stack(list(sweep.values()))
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise ValueError(f"refusing to serialize non-finite value {table.flat[finite.argmin()]}")
+    names = list(sweep)
+    values = table[:, [names.index(k) for k in keys]].ravel().tolist()
+    return sep.join([row] * len(table)) % tuple(values)
 
 
-def _sweep_json(sweep: _Sweep, indent: int) -> str:
-    """``_to_json`` of ``[dict(zip(header, r)) for r in rows]``, from one row template."""
-    if not sweep.rows:
-        return "[]"
-    slot, values = _row_values(sweep.rows, len(sweep.header))
-    column = {k: i for i, k in enumerate(sweep.header)}  # a repeated key keeps its last value
-    keys = sorted(column, key=str)
+def _sweep_json(sweep: dict, indent: int) -> str:
+    """``_to_json`` of one object per row, with the keys sorted."""
+    keys = sorted(sweep)
     row_pad, key_pad = "  " * (indent + 1), "  " * (indent + 2)
-    fields = ",\n".join(
-        f"{key_pad}{json.dumps(str(k))}: ".replace("%", "%%") + slot for k in keys
-    )
-    template = f"{row_pad}{{\n{fields}\n{row_pad}}}"
-    columns = list(zip(*values))
-    rows = zip(*(columns[column[k]] for k in keys))
-    return "[\n" + ",\n".join([template % r for r in rows]) + "\n" + "  " * indent + "]"
+    fields = ",\n".join(f"{key_pad}{json.dumps(k)}: %.12g" for k in keys)
+    rows = _sweep_text(sweep, keys, f"{row_pad}{{\n{fields}\n{row_pad}}}", ",\n")
+    return f"[\n{rows}\n{'  ' * indent}]" if rows else "[]"
 
 
 def _to_json(obj, indent: int = 0) -> str:
@@ -187,14 +176,6 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def emit_sweep(rows, header) -> str:
-    """Render numeric rows as CSV, header line first."""
-    header = list(header)
-    slot, values = _row_values([tuple(r) for r in rows], len(header))
-    template = ",".join([slot] * len(header))
-    return "\n".join([",".join(header)] + [template % r for r in values]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +341,7 @@ def _run_dephasing(v: dict):
         "final_coherence": float(curve.coherence[-1]),
         "final_entropy_nats": float(curve.entropy[-1]),
     }
-    return outputs, (["t", "coherence", "entropy"], curve.rows())
+    return outputs, {"t": curve.times, "coherence": curve.coherence, "entropy": curve.entropy}
 
 
 def _run_lattice_superselect(v: dict):
@@ -558,8 +539,8 @@ COMMANDS: dict[tuple[str, ...], dict] = {
 def _render(key, values, outputs, sweep, fmt: str) -> str:
     if fmt == "csv":
         if sweep is not None:
-            header, rows = sweep
-            return emit_sweep(rows, header)
+            row = ",".join(["%.12g"] * len(sweep)) + "\n"
+            return ",".join(sweep) + "\n" + _sweep_text(sweep, list(sweep), row, "")
         flat: dict[str, object] = {}
         for k in sorted(outputs):
             val = outputs[k]
@@ -570,7 +551,7 @@ def _render(key, values, outputs, sweep, fmt: str) -> str:
                 flat[k] = int(val)
             else:
                 flat[k] = val
-        return emit_sweep([tuple(flat.values())], list(flat.keys()))
+        return ",".join(flat) + "\n" + ",".join(map(_format_number, flat.values())) + "\n"
 
     report = {
         "tool": "qdeco",
@@ -584,7 +565,7 @@ def _render(key, values, outputs, sweep, fmt: str) -> str:
         },
     }
     if sweep is not None:
-        report["rows"] = _Sweep(*sweep)
+        report["rows"] = _Sweep(sweep)
     return _to_json(report) + "\n"
 
 

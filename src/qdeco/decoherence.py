@@ -43,6 +43,12 @@ __all__ = [
 NORM_TOL = 1e-9  # unit norm of a built state or of the system weights
 MAX_BATH_SIZE = 12
 _PHASE_BLOCK = 2**14  # (time, energy) entries per block of the bath phase table
+# The bath phase table costs about 12-18 ns per (time, energy) entry: K = 1427
+# distinct energies x T = 100 000 times took 1.6-2.5 s in process on a 2-vCPU
+# x86_64 with Python 3.11 and numpy 2.4.  1.5e8 entries therefore take at most
+# about 2.6 s, the budget of the ``identity-check`` bound; the largest benchmark
+# input, K = 1024 (10 distinct couplings) x 1000 times, is 1.0e6 entries.
+_PHASE_ENTRY_BOUND = 150_000_000
 ENTROPY_CHECK_TOL = 1e-9
 
 
@@ -257,12 +263,6 @@ class DephasingCurve:
         for name, arr in (("times", t), ("coherence", c), ("entropy", s)):
             object.__setattr__(self, name, arr)
 
-    def rows(self) -> list[tuple[float, float, float]]:
-        return [
-            (float(t), float(c), float(s))
-            for t, c, s in zip(self.times, self.coherence, self.entropy)
-        ]
-
 
 def _check_phase_range(model: SpinBathModel, t_arr: np.ndarray):
     """Refuse times at which a bath phase would overflow double precision.
@@ -304,9 +304,15 @@ def _bath_overlap(model: SpinBathModel, times: np.ndarray) -> np.ndarray:
     every bath spin maps E to -E, so the energies come in +- pairs of equal
     weight, the sine sum vanishes and the overlap is the real sum of
     w_j cos(2 E_j t).  The phase table is built ``_PHASE_BLOCK // K`` times at
-    once (one time at least) for K distinct energies.
+    once (one time at least) for K distinct energies, and a table of more than
+    ``_PHASE_ENTRY_BOUND`` entries is refused before it is begun.
     """
     energies, counts = np.unique(_bath_energies(model), return_counts=True)
+    if len(energies) * len(times) > _PHASE_ENTRY_BOUND:
+        raise ValueError(
+            f"{len(energies)} distinct bath energies x {len(times)} times"
+            f" exceeds bound {_PHASE_ENTRY_BOUND}"
+        )
     weights = counts / counts.sum()
     rows = max(1, _PHASE_BLOCK // len(energies))
     overlap = np.empty(len(times))

@@ -6,11 +6,12 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import qdeco.cli as cli
 import qdeco.lattice_qed as lattice_qed
-from qdeco.cli import emit_sweep, run
+from qdeco.cli import run
 from qdeco.decoherence import ENTROPY_CHECK_TOL, NORM_TOL
 from qdeco.lattice_qed import CROSS_ELEMENT_TOL
 
@@ -36,30 +37,38 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+def columns(rows, keys):
+    """A sweep's float64 columns by name, from its rows."""
+    return {k: np.array([float(r[i]) for r in rows]) for i, k in enumerate(keys)}
+
+
+def render_csv(outputs, sweep=None):
+    return cli._render(("dephasing",), {}, outputs, sweep, "csv")
+
+
 class TestEmitSweep:
+    """The sweep and the scalar row as the ``dephasing`` report renders them."""
+
     def test_single_row_csv(self):
-        text = emit_sweep([(1.0, 0.1)], ["t_s", "l_cm"])
+        text = render_csv({}, columns([(1.0, 0.1)], ["t_s", "l_cm"]))
         assert text == "t_s,l_cm\n1,0.1\n"
 
     def test_empty_rows_header_only(self):
-        assert emit_sweep([], ["a", "b"]) == "a,b\n"
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError):
-            emit_sweep([(1.0, 2.0), (3.0,)], ["a", "b"])
+        empty = columns([], ["a", "b"])
+        assert render_csv({}, empty) == "a,b\n"
+        assert cli._to_json(cli._Sweep(empty)) == "[]"
 
     def test_csv_round_trip_at_12_digits(self):
         rows = [
             (t, math.cos(0.37 * t) ** 2, math.exp(-0.11 * t))
             for t in [k * 0.173 for k in range(100)]
         ]
-        text = emit_sweep(rows, ["t", "coherence", "entropy"])
+        text = render_csv({}, columns(rows, ["t", "coherence", "entropy"]))
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert len(parsed) == 100
         for row, (t, c, s) in zip(parsed, rows):
             for key, ref in (("t", t), ("coherence", c), ("entropy", s)):
                 assert format(float(row[key]), ".12g") == format(ref, ".12g")
-
 
     def test_non_finite_value_refused_first_in_row_order(self):
         for rows, first in [
@@ -67,14 +76,16 @@ class TestEmitSweep:
             ([(1.0, 2.0), (-math.inf, math.nan)], "-inf"),
             ([(1.0, math.nan), (math.inf, 4.0)], "nan"),
         ]:
+            # "b" sorts before "z": JSON writes the columns in another order than CSV
+            sweep = columns(rows, ["z", "b"])
             message = f"^refusing to serialize non-finite value {first}$"
             with pytest.raises(ValueError, match=message):
-                emit_sweep(rows, ["a", "b"])
+                render_csv({}, sweep)
             with pytest.raises(ValueError, match=message):
-                cli._to_json({"rows": cli._Sweep(["a", "b"], rows)})
+                cli._to_json({"rows": cli._Sweep(sweep)})
 
     def test_integers_keep_every_digit(self):
-        assert emit_sweep([(10**13, 0.5)], ["n", "x"]) == "n,x\n10000000000000,0.5\n"
+        assert render_csv({"n": 10**13, "x": 0.5}) == "n,x\n10000000000000,0.5\n"
 
     @pytest.mark.parametrize("rows", [
         [(0.0, 0.5, -1e-20), (1e300, -0.0, 0.1 + 0.2)],
@@ -83,8 +94,10 @@ class TestEmitSweep:
     ])
     def test_json_rows_match_one_object_per_row(self, rows):
         header = ["t", "coherence", "entropy"]
-        want = cli._to_json({"rows": [dict(zip(header, r)) for r in rows], "tool": "qdeco"})
-        assert cli._to_json({"rows": cli._Sweep(header, rows), "tool": "qdeco"}) == want
+        objects = [dict(zip(header, map(float, r))) for r in rows]
+        want = cli._to_json({"rows": objects, "tool": "qdeco"})
+        sweep = cli._Sweep(columns(rows, header))
+        assert cli._to_json({"rows": sweep, "tool": "qdeco"}) == want
 
 
 class TestExitCodes:
@@ -378,6 +391,34 @@ class TestExitCodes:
                 "--steps", str(cli._DEPHASING_STEP_BOUND)]
         with pytest.raises(Admitted):
             run(argv)
+
+    def test_dephasing_over_the_phase_table_bound_refused_at_once(self, capsys):
+        # 1427 distinct bath energies x 475 107 times ran for about 12 s unbounded
+        couplings = "0.11,0.23,0.31,0.43,0.57,0.61,0.73,0.89,0.97,1.03,1.19,1.31"
+        argv = ["dephasing", "--spins", "12", "--coupling", couplings, "--t-max", "6",
+                "--steps", "475107"]
+        start = time.perf_counter()
+        code, out, err = run_capture(capsys, argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (1, "")
+        assert err == (
+            "qdeco: validation error: 1427 distinct bath energies x 475107 times"
+            " exceeds bound 150000000\n"
+        )
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["dephasing", "--spins", "12", "--coupling", "1.470366", "--t-max", "6.0",
+         "--steps", "2000"],
+        ["dephasing", "--spins", "10", "--coupling",
+         "0.239188,0.386424,0.505545,0.710262,0.983419,1.142917,1.343306,1.518467,1.790003,"
+         "1.975218", "--t-max", "6.0", "--steps", "1000"],
+        README_ARGVS[1],
+    ], ids=["uniform-12", "distinct-10", "readme"])
+    def test_dephasing_phase_table_bound_admits_the_benchmark_inputs(self, capsys, argv):
+        # the distinct bath has K = 2^10 energies: 1.0e6 entries at 1000 times
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
 
     def test_dephasing_steps_bound_admits_the_benchmark_inputs(self):
         # the benchmark's dephasing runs take at most 2000 steps

@@ -616,6 +616,17 @@ class TestSpinBathEvolve:
         with pytest.raises(ValueError, match=r"^bath_size 13 exceeds the 2\^N bath-energy table"):
             spin_bath_evolve(SpinBathModel(bath_size=13, couplings=np.ones(13)), [0.0])
 
+    def test_phase_table_bound(self, monkeypatch):
+        # three distinct couplings give K = 8 bath energies; 5 times make 40 entries
+        model = SpinBathModel(bath_size=3, couplings=np.array([0.3, 0.7, 1.9]))
+        times = np.linspace(0.0, 2.0, 5)
+        monkeypatch.setattr(decoherence, "_PHASE_ENTRY_BOUND", 40)
+        assert len(spin_bath_evolve(model, times).times) == 5
+        monkeypatch.setattr(decoherence, "_PHASE_ENTRY_BOUND", 39)
+        message = "^8 distinct bath energies x 5 times exceeds bound 39$"
+        with pytest.raises(ValueError, match=message):
+            spin_bath_evolve(model, times)
+
     def test_reduced_entropy_from_library_path(self):
         model = SpinBathModel(bath_size=5, couplings=np.linspace(0.3, 1.5, 5))
         t = 1.1

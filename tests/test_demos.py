@@ -1,4 +1,8 @@
-"""Smoke test: every demo script runs to completion against the current library."""
+"""Smoke test: every demo script runs to completion against the current library.
+
+Each demo runs with ``-W error``: pytest's own warning filter does not reach
+a subprocess.
+"""
 
 import os
 import subprocess
@@ -17,7 +21,8 @@ def test_demo_runs(demo):
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
