@@ -14,7 +14,11 @@ name, in CSV order; only the renderer here turns them into rows.
 
 Every layer is imported eagerly, because perfbench's tracer looks each one up
 in ``sys.modules`` and wraps its functions where this module binds them; numpy
-is executed only when a command first uses it (``qdeco._numpy``).
+is executed only when a command first uses it (``qdeco._numpy``).  Start-up is
+most of every command's time, so the records of all layers are namedtuples
+(``DensityMatrix`` a slotted class), not dataclasses: importing
+``dataclasses``, which loads ``inspect``, ``ast`` and ``dis``, and building 17
+frozen dataclasses took 17-24 ms of each start.
 
 Exit codes: 0 success, 1 validation failure (bad physics input) or out of
 memory, 2 usage error or an unwritable report.
@@ -29,9 +33,8 @@ import numbers
 import random
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
-from typing import Callable
 
 from . import __version__
 from ._numpy import np
@@ -182,13 +185,10 @@ def _to_json(obj, indent: int = 0) -> str:
 # parameter table
 
 
-@dataclass(frozen=True)
-class Param:
-    flag: str
-    convert: Callable[[str], object]
-    required: bool = False
-    default: object = None
-    help: str = ""
+class Param(namedtuple("Param", "flag convert required default help", defaults=(False, None, ""))):
+    """One flag: ``convert`` turns its text into the value the runner takes."""
+
+    __slots__ = ()
 
     @property
     def dest(self) -> str:
@@ -324,6 +324,10 @@ def _run_dephasing(v: dict):
         raise ValueError(f"need 1 or {n} couplings, got {len(v['coupling'])}")
     if v["steps"] < 1:
         raise ValueError("steps must be >= 1")
+    if v["steps"] == 1 and v["t_max"] != 0:  # the grid would be [0.0] alone
+        raise ValueError(
+            f"one step samples only t = 0, not t_max = {v['t_max']}; use --steps >= 2"
+        )
     if v["steps"] > _DEPHASING_STEP_BOUND:
         raise ValueError(
             f"{v['steps']} steps x {_DEPHASING_STEP_BYTES} B exceeds the"

@@ -10,7 +10,7 @@ the sum over bath energies can be checked against a closed form at every time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from ._numpy import np
 from .hilbert import (
@@ -59,36 +59,35 @@ def _check_consistent(states: list[StateVector], label: str) -> int:
     return dims.pop()
 
 
-@dataclass(frozen=True)
-class CorrelatedStateSpec:
+class CorrelatedStateSpec(namedtuple(
+    "CorrelatedStateSpec", "coefficients system_states apparatus_states environment_states"
+)):
     """Branch data for a correlated state sum_n c_n phi_n (x) Phi_n (x) env_n.
 
-    Environment states need not be orthogonal; the spec is only required to
-    describe a normalized total state, which :func:`build_correlated_state`
-    checks on the state it builds.
+    The three state fields are lists of :class:`StateVector`.  Environment
+    states need not be orthogonal; the spec is only required to describe a
+    normalized total state, which :func:`build_correlated_state` checks on the
+    state it builds.
     """
 
-    coefficients: np.ndarray
-    system_states: list[StateVector]
-    apparatus_states: list[StateVector]
-    environment_states: list[StateVector]
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.complex128).ravel()
-        object.__setattr__(self, "coefficients", c)
+    def __new__(cls, coefficients, system_states, apparatus_states, environment_states):
+        c = np.asarray(coefficients, dtype=np.complex128).ravel()
         n = len(c)
         if n < 1:
             raise ValueError("need at least one branch")
         for label, states in (
-            ("system", self.system_states),
-            ("apparatus", self.apparatus_states),
-            ("environment", self.environment_states),
+            ("system", system_states),
+            ("apparatus", apparatus_states),
+            ("environment", environment_states),
         ):
             if len(states) != n:
                 raise ValueError(
                     f"{label} list length {len(states)} does not match {n} coefficients"
                 )
             _check_consistent(states, label)
+        return super().__new__(cls, c, system_states, apparatus_states, environment_states)
 
     @property
     def n_branches(self) -> int:
@@ -212,56 +211,47 @@ def environment_overlap(spec: CorrelatedStateSpec, n: int, m: int) -> complex:
     return spec.environment_states[n].overlap(spec.environment_states[m])
 
 
-@dataclass(frozen=True)
-class SpinBathModel:
+class SpinBathModel(namedtuple("SpinBathModel", "bath_size couplings system_weights")):
     """Central qubit dephased by ``bath_size`` spins prepared in |+>.
 
     ``couplings`` are angular frequencies g_k (natural units); the interaction
     is sigma_z^sys (x) sum_k (g_k/2) sigma_z^(k), so the system populations are
-    frozen and only the off-diagonal coherence evolves.
+    frozen and only the off-diagonal coherence evolves.  ``system_weights``
+    (c0, c1) default to equal weights.
     """
 
-    bath_size: int
-    couplings: np.ndarray
-    system_weights: tuple[complex, complex] = field(
-        default=(1 / math.sqrt(2), 1 / math.sqrt(2))
-    )
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bath_size < 1:
+    def __new__(cls, bath_size, couplings, system_weights=(1 / math.sqrt(2), 1 / math.sqrt(2))):
+        if bath_size < 1:
             raise ValueError("bath_size must be >= 1")
-        g = np.asarray(self.couplings, dtype=np.float64).ravel()
-        if g.shape[0] != self.bath_size:
-            raise ValueError(f"need {self.bath_size} couplings, got {g.shape[0]}")
+        g = np.asarray(couplings, dtype=np.float64).ravel()
+        if g.shape[0] != bath_size:
+            raise ValueError(f"need {bath_size} couplings, got {g.shape[0]}")
         if not np.all(np.isfinite(g)):
             raise ValueError("couplings must be finite")
-        object.__setattr__(self, "couplings", g)
-        c0, c1 = complex(self.system_weights[0]), complex(self.system_weights[1])
+        c0, c1 = complex(system_weights[0]), complex(system_weights[1])
         if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > NORM_TOL:
             raise NormalizationError("system weights must satisfy |c0|^2 + |c1|^2 = 1")
-        object.__setattr__(self, "system_weights", (c0, c1))
+        return super().__new__(cls, bath_size, g, (c0, c1))
 
 
-@dataclass(frozen=True)
-class DephasingCurve:
+class DephasingCurve(namedtuple("DephasingCurve", "times coherence entropy")):
     """Time series of system coherence |r(t)| and entropy (nats)."""
 
-    times: np.ndarray
-    coherence: np.ndarray
-    entropy: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64).ravel()
-        c = np.asarray(self.coherence, dtype=np.float64).ravel()
-        s = np.asarray(self.entropy, dtype=np.float64).ravel()
+    def __new__(cls, times, coherence, entropy):
+        t = np.asarray(times, dtype=np.float64).ravel()
+        c = np.asarray(coherence, dtype=np.float64).ravel()
+        s = np.asarray(entropy, dtype=np.float64).ravel()
         if not (t.shape == c.shape == s.shape):
             raise ValueError("times, coherence and entropy must have equal lengths")
         if np.any(c < 0.0) or np.any(c > 1.0 + 1e-12):
             raise ValueError("coherence values must lie in [0, 1]")
         if np.any(s < -1e-12) or np.any(s > math.log(2) + 1e-9):
             raise ValueError("entropy values must lie in [0, ln 2]")
-        for name, arr in (("times", t), ("coherence", c), ("entropy", s)):
-            object.__setattr__(self, name, arr)
+        return super().__new__(cls, t, c, s)
 
 
 def _check_phase_range(model: SpinBathModel, t_arr: np.ndarray):
@@ -369,12 +359,10 @@ def binary_entropy(p):
     return float(h) if p_arr.ndim == 0 else h
 
 
-@dataclass(frozen=True)
-class EntropyCheck:
+class EntropyCheck(namedtuple("EntropyCheck", "max_deviation monotone_in_coherence")):
     """Result of validating a dephasing curve against the closed entropy form."""
 
-    max_deviation: float
-    monotone_in_coherence: bool
+    __slots__ = ()
 
 
 def entropy_curve(curve: DephasingCurve) -> EntropyCheck:

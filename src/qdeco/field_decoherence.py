@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .units import (
     CONSTANTS,
@@ -43,8 +43,7 @@ __all__ = [
 _SUPPRESSION_DENOMINATOR = 512.0 * math.pi  # fixed by the underlying trace
 
 
-@dataclass(frozen=True)
-class ThermalModel:
+class ThermalModel(namedtuple("ThermalModel", "localization_rate")):
     """Localization rate for free electrons in thermal radiation.
 
     ``localization_rate`` is Lambda in cm^-2 s^-1; the default is calibrated
@@ -52,11 +51,12 @@ class ThermalModel:
     reference point.
     """
 
-    localization_rate: float = 100.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.localization_rate <= 0:
+    def __new__(cls, localization_rate=100.0):
+        if localization_rate <= 0:
             raise ValueError("localization rate must be positive")
+        return super().__new__(cls, localization_rate)
 
 
 DEFAULT_THERMAL_MODEL = ThermalModel()

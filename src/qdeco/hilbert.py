@@ -10,7 +10,7 @@ keeps the spectrum that validated it; reduced states come from
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from collections import namedtuple
 from functools import reduce
 
 from ._numpy import np
@@ -45,17 +45,16 @@ class NormalizationError(ValueError):
     """Raised when an operation requires a unit-norm state and the input is not."""
 
 
-@dataclass(frozen=True)
-class TensorLayout:
+class TensorLayout(namedtuple("TensorLayout", "dims")):
     """Ordered subsystem dimensions locating each factor in the flat index."""
 
-    dims: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"all dimensions must be >= 1, got {self.dims}")
-        object.__setattr__(self, "dims", dims)
+    def __new__(cls, dims):
+        checked = tuple(int(d) for d in dims)
+        if not checked or any(d < 1 for d in checked):
+            raise ValueError(f"all dimensions must be >= 1, got {dims}")
+        return super().__new__(cls, checked)
 
     @property
     def flat_dim(self) -> int:
@@ -80,24 +79,23 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(namedtuple("StateVector", "layout amplitudes")):
     """Complex amplitudes over a tensor-factored space.
 
     Unit norm is not enforced at construction; operations that need it say so
     and raise :class:`NormalizationError` otherwise.
     """
 
-    layout: TensorLayout
-    amplitudes: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _as_complex_vector(self.amplitudes))
-        if self.amplitudes.shape[0] != self.layout.flat_dim:
+    def __new__(cls, layout, amplitudes):
+        amplitudes = _as_complex_vector(amplitudes)
+        if amplitudes.shape[0] != layout.flat_dim:
             raise ValueError(
-                f"amplitude length {self.amplitudes.shape[0]} does not match "
-                f"layout dimension {self.layout.flat_dim}"
+                f"amplitude length {amplitudes.shape[0]} does not match "
+                f"layout dimension {layout.flat_dim}"
             )
+        return super().__new__(cls, layout, amplitudes)
 
     @property
     def dim(self) -> int:
@@ -116,20 +114,19 @@ class StateVector:
         return f"StateVector(dims={self.layout.dims}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(namedtuple("Operator", "layout entries")):
     """Square complex matrix on a tensor-factored space."""
 
-    layout: TensorLayout
-    entries: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
-        if self.entries.shape[0] != self.layout.flat_dim:
+    def __new__(cls, layout, entries):
+        entries = _as_complex_matrix(entries)
+        if entries.shape[0] != layout.flat_dim:
             raise ValueError(
-                f"matrix dimension {self.entries.shape[0]} does not match "
-                f"layout dimension {self.layout.flat_dim}"
+                f"matrix dimension {entries.shape[0]} does not match "
+                f"layout dimension {layout.flat_dim}"
             )
+        return super().__new__(cls, layout, entries)
 
     @property
     def dim(self) -> int:
@@ -169,7 +166,6 @@ def density_spectrum(entries: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive matrix (all within fixed tolerances), kept on its support.
 
@@ -185,13 +181,22 @@ class DensityMatrix:
     rows, the spectrum is validated on the Gram matrix M^dag M instead: it has
     the same nonzero eigenvalues and the same trace ||M||^2 (Schmidt
     decomposition), and the block is then checked for Hermiticity alone.
+    Fields cannot be assigned or deleted.
     """
 
-    layout: TensorLayout
-    block: np.ndarray
-    support: np.ndarray | None = None
-    spectrum: np.ndarray = field(init=False)
-    factor: InitVar[np.ndarray | None] = None
+    __slots__ = ("layout", "block", "support", "spectrum")
+
+    def __init__(self, layout: TensorLayout, block, support=None, factor=None):
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "support", support)
+        self.__post_init__(factor)  # perfbench counts validations through this method
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __post_init__(self, factor):
         object.__setattr__(self, "block", _as_complex_matrix(self.block))

@@ -38,9 +38,9 @@ cut short by one value on each raised factor to the same cut one value up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Collection
 from functools import lru_cache, partial
-from typing import Collection, NamedTuple
 
 from ._numpy import np
 from .hilbert import DENSE_OPERATOR_LIMIT, Operator, StateVector, TensorLayout
@@ -74,24 +74,21 @@ _TABLE_CACHE_SIZE = 4  # specs whose configuration tables are kept
 FactorLabel = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(namedtuple("LatticeSpec", "sites e_max left_field")):
     """Model definition: N sites, field truncation, fixed left boundary field."""
 
-    sites: int
-    e_max: int
-    left_field: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sites < 1:
+    def __new__(cls, sites, e_max, left_field=0):
+        if sites < 1:
             raise ValueError("need at least one site")
-        if self.e_max < 1:
+        if e_max < 1:
             raise ValueError("field truncation must be >= 1")
-        if abs(self.left_field) > self.e_max:
+        if abs(left_field) > e_max:
             raise ValueError(
-                f"left boundary field {self.left_field} outside truncation "
-                f"[-{self.e_max}, {self.e_max}]"
+                f"left boundary field {left_field} outside truncation [-{e_max}, {e_max}]"
             )
+        return super().__new__(cls, sites, e_max, left_field)
 
     @property
     def link_dim(self) -> int:
@@ -131,24 +128,21 @@ class LatticeSpec:
             raise ValueError(f"site/link index {x} out of range 1..{self.sites}")
 
 
-@dataclass(frozen=True)
-class GaugeFunction:
+class GaugeFunction(namedtuple("GaugeFunction", "values left_value asymptotic_value")):
     """Per-site gauge parameters plus the two boundary values."""
 
-    values: np.ndarray
-    left_value: float = 0.0
-    asymptotic_value: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).ravel()
+    def __new__(cls, values, left_value=0.0, asymptotic_value=0.0):
+        v = np.asarray(values, dtype=np.float64).ravel()
         if not np.all(np.isfinite(v)) or not (
-            math.isfinite(self.left_value) and math.isfinite(self.asymptotic_value)
+            math.isfinite(left_value) and math.isfinite(asymptotic_value)
         ):
             raise ValueError("gauge function values must be finite")
-        object.__setattr__(self, "values", v)
+        return super().__new__(cls, v, left_value, asymptotic_value)
 
 
-class _ConfigTable(NamedTuple):
+class _ConfigTable(namedtuple("_ConfigTable", "charges fields divergence")):
     """Every configuration of one spec, in flat-index order; read-only float64 arrays.
 
     ``charges`` and ``fields`` hold q_1..q_N and E_1..E_N, and ``divergence``
@@ -157,9 +151,7 @@ class _ConfigTable(NamedTuple):
     them as floats spares every product with a float vector a cast of the table.
     """
 
-    charges: np.ndarray
-    fields: np.ndarray
-    divergence: np.ndarray
+    __slots__ = ()
 
 
 def _config_table(spec: LatticeSpec) -> _ConfigTable:
@@ -202,13 +194,14 @@ def gauss_diagonal(spec: LatticeSpec, x: int) -> np.ndarray:
     return _config_table(spec).divergence[:, x - 1].copy()
 
 
-@dataclass(frozen=True)
-class PhysicalSubspace:
-    """Configurations annihilated by every divergence constraint."""
+class PhysicalSubspace(namedtuple("PhysicalSubspace", "spec basis configurations")):
+    """Configurations annihilated by every divergence constraint.
 
-    spec: LatticeSpec
-    basis: np.ndarray          # flat indices, ascending
-    configurations: np.ndarray  # matching rows (q_1..q_N, E_1..E_N)
+    ``basis`` holds their flat indices, ascending, and ``configurations`` the
+    matching rows (q_1..q_N, E_1..E_N).
+    """
+
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -240,12 +233,13 @@ def physical_subspace(spec: LatticeSpec) -> PhysicalSubspace:
     return PhysicalSubspace(spec, basis, configurations)
 
 
-@dataclass(frozen=True)
-class SectorDecomposition:
-    """Partition of the physical basis by total boundary-flux charge."""
+class SectorDecomposition(namedtuple("SectorDecomposition", "subspace sectors")):
+    """Partition of the physical basis by total boundary-flux charge.
 
-    subspace: PhysicalSubspace
-    sectors: dict[int, np.ndarray]  # charge -> flat indices
+    ``sectors`` maps each charge to the flat indices of its configurations.
+    """
+
+    __slots__ = ()
 
     def charges(self) -> list[int]:
         return sorted(self.sectors)
@@ -528,16 +522,13 @@ def _sector_of(decomp: SectorDecomposition, state: StateVector) -> int:
     return sector
 
 
-@dataclass(frozen=True)
-class SuperselectionReport:
+class SuperselectionReport(namedtuple(
+    "SuperselectionReport",
+    "physical_dim sector_plus sector_minus n_operators max_cross max_expectation_diff",
+)):
     """Cross-sector matrix elements of a gauge-invariant operator basis."""
 
-    physical_dim: int
-    sector_plus: int
-    sector_minus: int
-    n_operators: int
-    max_cross: float
-    max_expectation_diff: float
+    __slots__ = ()
 
 
 def superselection_report(

@@ -5,14 +5,15 @@ electric fields in MeV^2 (Heaviside-Lorentz, e^2 = 4 pi alpha).  SI base
 units per dimension: cm, s, cm^3, J, V/m.
 
 The V/m -> MeV^2 factor is derived along two independent routes (the eV
-definition chain and the Schwinger critical field); they agree to better than
-1e-3 and the first is frozen into :data:`CONSTANTS`.
+definition chain and the Schwinger critical field); they agree to 3.4e-9, the
+precision of the nine-digit critical field, and the first is frozen into
+:data:`CONSTANTS`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 __all__ = [
     "LENGTH",
@@ -49,12 +50,15 @@ SI = "si"
 NATURAL = "natural"
 _SYSTEMS = {SI, NATURAL}
 
-# Reference constants (CODATA values, MeV-based).
+# Reference constants, MeV-based, from CODATA 2018: E. Tiesinga et al., "CODATA
+# recommended values of the fundamental physical constants: 2018", Rev. Mod.
+# Phys. 93, 025010 (2021).  Reports print 12 significant digits, so a constant
+# cut to fewer digits shows in every field report.
 _HBARC_MEV_FM = 197.3269804        # hbar c
 _HBAR_MEV_S = 6.582119569e-22      # hbar
-_ALPHA = 1.0 / 137.035999          # fine-structure constant
-_M_ELECTRON_MEV = 0.5109989
-_SCHWINGER_FIELD_V_PER_M = 1.3233e18
+_ALPHA = 1.0 / 137.035999084       # fine-structure constant
+_M_ELECTRON_MEV = 0.51099895000    # electron mass energy
+_SCHWINGER_FIELD_V_PER_M = 1.32328547e18  # m^2 c^3 / (e hbar)
 
 _CM_IN_INV_MEV = 1e13 / _HBARC_MEV_FM   # 1 cm in MeV^-1
 _M_IN_INV_MEV = 1e15 / _HBARC_MEV_FM    # 1 m in MeV^-1
@@ -76,26 +80,34 @@ def efield_factor_via_ev_chain() -> float:
 def efield_factor_via_schwinger() -> float:
     """MeV^2 per (V/m), anchored to the Schwinger critical field.
 
-    The pair-creation field m^2/e (natural units) is the literature value
-    1.3233e18 V/m, which fixes the scale independently of the eV chain.
+    The pair-creation field m^2/e (natural units) is the CODATA 2018 value
+    1.32328547e18 V/m, which fixes the scale independently of the eV chain.
     """
     e_hl = math.sqrt(4.0 * math.pi * _ALPHA)
     return (_M_ELECTRON_MEV**2 / e_hl) / _SCHWINGER_FIELD_V_PER_M
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
-    """Physical constants used throughout, in MeV-based natural units."""
+class ConstantsTable(namedtuple(
+    "ConstantsTable", "m_electron fine_structure e efield_mev2_per_v_per_m"
+)):
+    """Physical constants used throughout, in MeV-based natural units.
 
-    m_electron: float = _M_ELECTRON_MEV          # MeV
-    fine_structure: float = _ALPHA
-    e: float = field(default=math.sqrt(4.0 * math.pi * _ALPHA))  # Heaviside-Lorentz
-    # Frozen from efield_factor_via_ev_chain(); the Schwinger route agrees to ~1e-5.
-    efield_mev2_per_v_per_m: float = field(default=efield_factor_via_ev_chain())
+    ``m_electron`` is in MeV and ``e`` is the Heaviside-Lorentz charge.
+    """
 
-    def __post_init__(self):
-        if abs(self.e**2 - 4.0 * math.pi * self.fine_structure) > 1e-12:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        m_electron=_M_ELECTRON_MEV,
+        fine_structure=_ALPHA,
+        e=math.sqrt(4.0 * math.pi * _ALPHA),
+        # Frozen from efield_factor_via_ev_chain(); the Schwinger route agrees to 3.4e-9.
+        efield_mev2_per_v_per_m=efield_factor_via_ev_chain(),
+    ):
+        if abs(e**2 - 4.0 * math.pi * fine_structure) > 1e-12:
             raise ValueError("charge does not satisfy e^2 = 4 pi alpha")
+        return super().__new__(cls, m_electron, fine_structure, e, efield_mev2_per_v_per_m)
 
 
 CONSTANTS = ConstantsTable()
@@ -111,20 +123,17 @@ _SI_TO_NATURAL = {
 }
 
 
-@dataclass(frozen=True)
-class PhysicalQuantity:
+class PhysicalQuantity(namedtuple("PhysicalQuantity", "magnitude dimension unit_system")):
     """A magnitude with a dimension tag and a unit system."""
 
-    magnitude: float
-    dimension: str
-    unit_system: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dimension not in _DIMENSIONS:
-            raise ValueError(f"unsupported dimension {self.dimension!r}")
-        if self.unit_system not in _SYSTEMS:
-            raise ValueError(f"unknown unit system {self.unit_system!r}")
-        object.__setattr__(self, "magnitude", float(self.magnitude))
+    def __new__(cls, magnitude, dimension, unit_system):
+        if dimension not in _DIMENSIONS:
+            raise ValueError(f"unsupported dimension {dimension!r}")
+        if unit_system not in _SYSTEMS:
+            raise ValueError(f"unknown unit system {unit_system!r}")
+        return super().__new__(cls, float(magnitude), dimension, unit_system)
 
     def to(self, target: str) -> "PhysicalQuantity":
         return convert(self, target)

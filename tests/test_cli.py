@@ -239,7 +239,7 @@ class TestExitCodes:
         "argv,key,expected",
         [
             (["field", "coherence-length", "--efield-v-per-cm", "1e300"], "length_cm",
-             2.5312910856e-199),
+             2.53129116816e-199),
             (["thermal", "length", "--time-s", "1e300", "--lambda-cm2s", "1e300"], "length_cm",
              1e-300),
         ],
@@ -253,7 +253,7 @@ class TestExitCodes:
         argv = ["field", "coherence-length", "--efield-v-per-cm", "1e7", "--threshold", "1e305"]
         code, out, err = run_capture(capsys, argv)
         assert (code, err) == (0, "")
-        assert json.loads(out)["outputs"]["length_cm"] == pytest.approx(2.5312910856e98, rel=1e-11)
+        assert json.loads(out)["outputs"]["length_cm"] == pytest.approx(2.53129116816e98, rel=1e-11)
 
     @pytest.mark.parametrize("command", ["coherence-length", "validity-time"])
     def test_field_lost_in_conversion_is_not_a_zero_field(self, capsys, command):
@@ -391,6 +391,26 @@ class TestExitCodes:
                 "--steps", str(cli._DEPHASING_STEP_BOUND)]
         with pytest.raises(Admitted):
             run(argv)
+
+    def test_dephasing_one_step_refused_unless_t_max_is_zero(self, capsys, monkeypatch):
+        # np.linspace(0, t_max, 1) is [0.0]: the report would end at t = 0, not t_max
+        def evolve(model, times):
+            raise AssertionError("evolved a refused input")
+
+        monkeypatch.setattr(cli, "spin_bath_evolve", evolve)
+        argv = ["dephasing", "--spins", "11", "--coupling", "-2.874411", "--t-max", "10.0803",
+                "--steps", "1"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "qdeco: validation error: one step samples only t = 0, not t_max = 10.0803;"
+            " use --steps >= 2\n"
+        )
+        monkeypatch.undo()
+        argv[argv.index("--t-max") + 1] = "0"
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outputs"]["final_coherence"] == 1
 
     def test_dephasing_over_the_phase_table_bound_refused_at_once(self, capsys):
         # 1427 distinct bath energies x 475 107 times ran for about 12 s unbounded

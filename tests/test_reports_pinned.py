@@ -99,12 +99,13 @@ def test_reports_load_no_numpy_submodule_they_do_not_use():
     assert proc.returncode == 0, proc.stderr
 
 
+CLOSED_FORM = [p for p in PINNED if json.loads(p.read_text())["argv"][0] in ("field", "thermal")]
+
+
 def test_closed_form_reports_never_execute_numpy():
     # executing numpy costs about 100 ms, and the field and thermal formulas are
     # pure math/cmath; numpy.linalg is loaded by numpy's own __init__ (1.24, 2.x)
-    closed_form = [p for p in PINNED
-                   if json.loads(p.read_text())["argv"][0] in ("field", "thermal")]
-    assert len(closed_form) == 4
+    assert len(CLOSED_FORM) == 4
     proc = _fresh_python("""
         import contextlib, io, json, sys
         from qdeco.cli import run
@@ -119,7 +120,35 @@ def test_closed_form_reports_never_execute_numpy():
                     sys.exit(f"{argv} did not exit {expected}")
             if "numpy.linalg" in sys.modules:
                 sys.exit(f"{argv} executed numpy")
-    """, *map(str, closed_form))
+    """, *map(str, CLOSED_FORM))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_start_loads_every_layer_and_no_dataclasses():
+    # importing dataclasses (with inspect, ast, dis and tokenize) and building
+    # frozen dataclasses took 17-24 ms of every command's start; perfbench's
+    # tracer finds each layer in sys.modules and wraps the names cli binds
+    proc = _fresh_python("""
+        import contextlib, io, json, sys
+        preloaded = set(sys.modules)
+        import qdeco.cli as cli
+        for path in sys.argv[1:]:
+            argv = json.load(open(path))["argv"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.run(argv) != 0:
+                    sys.exit(f"{argv} failed")
+            loaded = sorted({"dataclasses", "inspect"} & (set(sys.modules) - preloaded))
+            if loaded:
+                sys.exit(f"{argv} loaded {loaded}")
+        layers = ["qdeco.hilbert", "qdeco.decoherence", "qdeco.lattice_qed", "qdeco.units",
+                  "qdeco.field_decoherence"]
+        missing = [name for name in layers if name not in sys.modules]
+        if missing:
+            sys.exit(f"layers not loaded: {missing}")
+        lattice_qed = sys.modules["qdeco.lattice_qed"]
+        if cli.gauge_generator_diagonal is not lattice_qed.gauge_generator_diagonal:
+            sys.exit("cli does not bind lattice_qed.gauge_generator_diagonal")
+    """, *map(str, CLOSED_FORM))
     assert proc.returncode == 0, proc.stderr
 
 
