@@ -16,7 +16,7 @@ Every layer is imported eagerly, because perfbench's tracer looks each one up
 in ``sys.modules`` and wraps its functions where this module binds them; numpy
 is executed only when a command first uses it (``qdeco._numpy``).  Start-up is
 most of every command's time, so the records of all layers are namedtuples
-(``DensityMatrix`` a slotted class), not dataclasses: importing
+(``units.CONSTANTS`` one namedtuple instance), not dataclasses: importing
 ``dataclasses``, which loads ``inspect``, ``ast`` and ``dis``, and building 17
 frozen dataclasses took 17-24 ms of each start.
 
@@ -86,12 +86,14 @@ __all__ = ["run", "main"]
 _IDENTITY_TRIAL_ENTRIES = 2500
 _IDENTITY_ENTRY_BOUND = 150_000_000
 
-# The ``dephasing`` report costs about 565 B and 6 us per time step: whole
-# commands with --spins 12 --coupling 1.0 peaked at 32 MiB RSS in 0.29 s with
-# 2000 steps and at 300 MiB in 3.4 s with 500 000, on the same machine.  The
-# rows and the rendered sweep set the peak, not the evolution.  A report
-# budget of 256 MiB bounds --steps at 475 107, far above the benchmark's 2000.
-_DEPHASING_STEP_BYTES = 565
+# The ``dephasing`` report costs about 435 B per time step: the peak RSS of
+# whole JSON commands with --spins 12 --coupling 1.0 --t-max 6, from 2000
+# steps (31 MiB) to 475 107 (224 MiB), fits 35 MiB + 434.1 B per step on a
+# 2-vCPU x86_64 with Python 3.11 and numpy 2.4.  The rows and the rendered
+# sweep set the peak, not the evolution.  A report budget of 256 MiB bounds
+# --steps at 617 093, far above the benchmark's 2000; there the JSON command
+# peaked at 259 MiB in 2.1-2.3 s and the CSV one at 211 MiB.
+_DEPHASING_STEP_BYTES = 435
 _DEPHASING_REPORT_BYTES = 256 * 2**20
 _DEPHASING_STEP_BOUND = _DEPHASING_REPORT_BYTES // _DEPHASING_STEP_BYTES
 
@@ -257,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict[str, str]:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -583,7 +585,7 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"qdeco: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"qdeco: error: cannot read config: {exc}", file=sys.stderr)
         return 2
 

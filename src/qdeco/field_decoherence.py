@@ -11,7 +11,6 @@ localization of free electrons (0.1 cm after one second, falling as
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from collections import namedtuple
@@ -33,7 +32,6 @@ __all__ = [
     "ThermalModel",
     "decoherence_exponent",
     "decoherence_factor",
-    "offdiagonal_element",
     "coherence_length",
     "validity_time",
     "thermal_coherence_length",
@@ -111,19 +109,6 @@ def decoherence_factor(volume, efield) -> float:
     to 0.0 for macroscopic arguments.
     """
     return math.exp(-decoherence_exponent(volume, efield))
-
-
-def offdiagonal_element(volume, efield, vector_potential: float) -> complex:
-    """Off-diagonal element exp(2i V A E) * suppression factor.
-
-    The vector-potential amplitude is accepted in natural units only; its sole
-    effect is the phase 2 V A E shared by the two interfering branches.
-    """
-    v = to_natural(volume, VOLUME)
-    e_field = to_natural(efield, ELECTRIC_FIELD)
-    a = float(vector_potential)
-    phase = 2.0 * v * a * e_field
-    return cmath.exp(1j * phase - decoherence_exponent(volume, efield))
 
 
 def coherence_length(efield, threshold_exponent: float = 1.0) -> PhysicalQuantity:

@@ -166,7 +166,7 @@ def density_spectrum(entries: np.ndarray) -> np.ndarray:
     return w
 
 
-class DensityMatrix:
+class DensityMatrix(namedtuple("DensityMatrix", "layout block support spectrum")):
     """Hermitian, unit-trace, positive matrix (all within fixed tolerances), kept on its support.
 
     ``block`` holds the rows and columns of the ascending flat indices
@@ -181,41 +181,32 @@ class DensityMatrix:
     rows, the spectrum is validated on the Gram matrix M^dag M instead: it has
     the same nonzero eigenvalues and the same trace ||M||^2 (Schmidt
     decomposition), and the block is then checked for Hermiticity alone.
-    Fields cannot be assigned or deleted.
     """
 
-    __slots__ = ("layout", "block", "support", "spectrum")
+    __slots__ = ()
 
-    def __init__(self, layout: TensorLayout, block, support=None, factor=None):
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "support", support)
-        self.__post_init__(factor)  # perfbench counts validations through this method
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __new__(cls, layout: TensorLayout, block, support=None, factor=None):
+        # perfbench counts validations through __post_init__
+        return super().__new__(cls, layout, block, support, None).__post_init__(factor)
 
     def __post_init__(self, factor):
-        object.__setattr__(self, "block", _as_complex_matrix(self.block))
-        dim, size = self.layout.flat_dim, self.block.shape[0]
+        """The record validated: complex block, ascending support and its spectrum."""
+        block = _as_complex_matrix(self.block)
+        dim, size = self.layout.flat_dim, block.shape[0]
         support = np.arange(dim) if self.support is None else np.asarray(self.support, np.intp)
         if support.shape != (size,):
             raise ValueError(f"matrix dimension {size} does not match support size {support.size}")
         if np.any(np.diff(support) <= 0) or np.any((support < 0) | (support >= dim)):
             raise ValueError(f"support must ascend strictly within layout dimension {dim}")
-        object.__setattr__(self, "support", support)
         if factor is None or factor.shape[1] > size:
-            small = density_spectrum(self.block)
+            small = density_spectrum(block)
         else:
-            _check_hermitian(self.block)
+            _check_hermitian(block)
             small = density_spectrum(factor.conj().T @ factor)
         # sorted after padding: the small spectrum can hold -1e-17 values
         spectrum = np.sort(np.concatenate([small, np.zeros(dim - small.shape[0])]))
         spectrum.flags.writeable = False
-        object.__setattr__(self, "spectrum", spectrum)
+        return self._replace(block=block, support=support, spectrum=spectrum)
 
     @property
     def entries(self) -> np.ndarray:

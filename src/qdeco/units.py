@@ -25,7 +25,6 @@ __all__ = [
     "SI",
     "NATURAL",
     "PhysicalQuantity",
-    "ConstantsTable",
     "CONSTANTS",
     "convert",
     "to_natural",
@@ -87,30 +86,12 @@ def efield_factor_via_schwinger() -> float:
     return (_M_ELECTRON_MEV**2 / e_hl) / _SCHWINGER_FIELD_V_PER_M
 
 
-class ConstantsTable(namedtuple(
-    "ConstantsTable", "m_electron fine_structure e efield_mev2_per_v_per_m"
-)):
-    """Physical constants used throughout, in MeV-based natural units.
-
-    ``m_electron`` is in MeV and ``e`` is the Heaviside-Lorentz charge.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        m_electron=_M_ELECTRON_MEV,
-        fine_structure=_ALPHA,
-        e=math.sqrt(4.0 * math.pi * _ALPHA),
-        # Frozen from efield_factor_via_ev_chain(); the Schwinger route agrees to 3.4e-9.
-        efield_mev2_per_v_per_m=efield_factor_via_ev_chain(),
-    ):
-        if abs(e**2 - 4.0 * math.pi * fine_structure) > 1e-12:
-            raise ValueError("charge does not satisfy e^2 = 4 pi alpha")
-        return super().__new__(cls, m_electron, fine_structure, e, efield_mev2_per_v_per_m)
-
-
-CONSTANTS = ConstantsTable()
+# m_electron in MeV; e is the Heaviside-Lorentz charge sqrt(4 pi alpha); the field
+# factor is frozen from efield_factor_via_ev_chain(), which the Schwinger route
+# matches to 3.4e-9.
+CONSTANTS = namedtuple("ConstantsTable", "m_electron fine_structure e efield_mev2_per_v_per_m")(
+    _M_ELECTRON_MEV, _ALPHA, math.sqrt(4.0 * math.pi * _ALPHA), efield_factor_via_ev_chain()
+)
 
 # magnitude_natural = magnitude_si * factor
 _SI_TO_NATURAL = {

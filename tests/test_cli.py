@@ -373,8 +373,8 @@ class TestExitCodes:
                 tracemalloc.stop()
             assert (code, out) == (1, "")
             assert err == (
-                f"qdeco: validation error: {steps} steps x 565 B exceeds the 256 MiB report"
-                " bound of 475107 steps\n"
+                f"qdeco: validation error: {steps} steps x 435 B exceeds the 256 MiB report"
+                " bound of 617093 steps\n"
             )
             assert peak < 2**20
 
@@ -702,6 +702,15 @@ class TestConfigFile:
             capsys, ["thermal", "length", "--config", str(tmp_path / "nope.cfg")]
         )
         assert code == 2
+
+    def test_undecodable_config_refused_in_one_line(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"spins = 3\xff\n")
+        code, out, err = run_capture(capsys, [
+            "dephasing", "--config", str(cfg), "--coupling", "1", "--t-max", "1", "--steps", "3"])
+        assert (code, out) == (2, "")
+        assert err.startswith("qdeco: error: cannot read config: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", README_ARGVS, ids=[" ".join(a[:2]) for a in README_ARGVS])
     def test_config_report_matches_flags(self, capsys, tmp_path, argv):

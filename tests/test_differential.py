@@ -60,8 +60,8 @@ def _dephasing(draw):
     couplings = draw(st.one_of(st.lists(coupling, min_size=1, max_size=1),
                                st.lists(coupling, min_size=spins, max_size=spins)))
     t_max = draw(st.floats(0.0, 20.0))
-    # up to 400 steps, or over the 475 107-step report bound
-    steps = draw(st.one_of(st.integers(1, 400), st.integers(475_108, 10**9)))
+    # up to 400 steps, or over the 617 093-step report bound
+    steps = draw(st.one_of(st.integers(1, 400), st.integers(617_094, 10**9)))
     argv = ["dephasing", "--spins", str(spins), "--coupling", ",".join(map(repr, couplings)),
             "--t-max", repr(t_max), "--steps", str(steps)]
     return argv + draw(st.sampled_from([[], ["--format", "csv"]]))

@@ -1,4 +1,3 @@
-import cmath
 import math
 import sys
 
@@ -10,7 +9,6 @@ from qdeco.field_decoherence import (
     coherence_length,
     decoherence_exponent,
     decoherence_factor,
-    offdiagonal_element,
     thermal_coherence_length,
     validity_time,
 )
@@ -95,32 +93,6 @@ class TestDecoherenceFactor:
         a = decoherence_factor(v_si, e_si)
         b = decoherence_factor(v_nat, e_nat)
         assert abs(a - b) <= 1e-9 * max(a, b)
-
-
-class TestOffdiagonalElement:
-    def test_zero_vector_potential_is_real(self):
-        e_nat = 1e-9
-        v = threshold_volume(e_nat)
-        elem = offdiagonal_element(v, e_nat, 0.0)
-        assert elem.imag == 0.0
-        assert elem.real == pytest.approx(decoherence_factor(v, e_nat), rel=1e-12)
-
-    def test_zero_volume_is_one(self):
-        assert offdiagonal_element(0.0, 1e-9, 2.0) == 1.0 + 0.0j
-
-    def test_phase_pi(self):
-        e_nat, a = 1e-9, 0.7
-        v = math.pi / (2.0 * a * e_nat)
-        elem = offdiagonal_element(v, e_nat, a)
-        assert abs(cmath.phase(elem) - math.pi) % (2 * math.pi) <= 1e-12
-        assert abs(abs(elem) - decoherence_factor(v, e_nat)) <= 1e-15
-
-    def test_branch_phases_are_square_roots(self):
-        e_nat, a = 2e-9, 0.3
-        v = 1e8
-        elem = offdiagonal_element(v, e_nat, a)
-        half_phase = cmath.exp(1j * v * a * e_nat)
-        assert abs(half_phase**2 - elem / abs(elem)) <= 1e-12
 
 
 class TestCoherenceLength:

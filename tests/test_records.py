@@ -1,7 +1,7 @@
 """The library's records: immutable, validated on construction, equal specs hash equal.
 
-Records are ``collections.namedtuple`` subclasses (``DensityMatrix`` is a
-slotted class), so these tests pin what callers rely on: no field can be
+Records are ``collections.namedtuple`` subclasses, or for ``CONSTANTS`` a
+namedtuple instance, so these tests pin what callers rely on: no field can be
 assigned, every validating record refuses bad input with its own message,
 equal specs share one configuration table, and ``DensityMatrix`` validates
 once per construction, through ``__post_init__``.
@@ -40,7 +40,7 @@ from qdeco.lattice_qed import (
     charge_sectors,
     physical_subspace,
 )
-from qdeco.units import CONSTANTS, LENGTH, SI, ConstantsTable, PhysicalQuantity
+from qdeco.units import CONSTANTS, LENGTH, SI, PhysicalQuantity
 
 QUBIT = TensorLayout((2,))
 
@@ -118,7 +118,6 @@ REFUSALS = [
     (lambda: GaugeFunction([0.0, math.inf]), "gauge function values must be finite"),
     (lambda: GaugeFunction([0.0], asymptotic_value=math.nan),
      "gauge function values must be finite"),
-    (lambda: ConstantsTable(e=0.3), "charge does not satisfy e^2 = 4 pi alpha"),
     (lambda: PhysicalQuantity(1.0, "mass", SI), "unsupported dimension 'mass'"),
     (lambda: PhysicalQuantity(1.0, LENGTH, "cgs"), "unknown unit system 'cgs'"),
     (lambda: ThermalModel(0.0), "localization rate must be positive"),
@@ -146,6 +145,9 @@ def test_records_keep_their_converted_fields():
     assert model.system_weights == (1 / math.sqrt(2), 1 / math.sqrt(2))
     assert all(type(c) is complex for c in model.system_weights)
     assert type(PhysicalQuantity(3, LENGTH, SI).magnitude) is float
+    rho = DensityMatrix(QUBIT, [[0.5, 0], [0, 0.5]], support=[0, 1])
+    assert rho._fields == ("layout", "block", "support", "spectrum")
+    assert rho.block.dtype == np.complex128 and rho.support.dtype == np.intp
     assert Param("--trials", int, default=50).dest == "trials"
     assert Param("--left-field", int) == Param("--left-field", int, False, None, "")
 
@@ -167,7 +169,7 @@ def test_density_matrix_validates_once_per_construction(monkeypatch):
 
     def counted(self, factor):
         calls.append(factor is not None)
-        validate(self, factor)
+        return validate(self, factor)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
     rho = DensityMatrix(QUBIT, np.diag([0.25, 0.75]))

@@ -75,8 +75,8 @@ def test_report_matches_pinned_copy(path, capsys):
     assert_same(current, pinned["report"])
 
 
-def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+def _fresh_python(script: str, *args: str, **environ: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, **environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     return subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
@@ -99,12 +99,41 @@ def test_reports_load_no_numpy_submodule_they_do_not_use():
     assert proc.returncode == 0, proc.stderr
 
 
+# the pinned argvs with the largest BLAS calls: a 6561 x 4 matrix-vector product
+# per trial, 16 x 1024 phase blocks and 28 x 28 products
+BLAS_HEAVY = [p for p in PINNED
+              if p.stem in ("identity_4_1_trials_200", "dephasing_10_distinct", "tripartite_28_equal")]
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS reads its thread count once, when numpy loads it
+    reports = {}
+    for threads in ("1", "2"):
+        proc = _fresh_python("""
+            import contextlib, io, json, sys
+            from qdeco.cli import run
+            reports = []
+            for path in sys.argv[1:]:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    if run(json.load(open(path))["argv"]) != 0:
+                        sys.exit(f"{path} failed")
+                reports.append(out.getvalue())
+            print(json.dumps(reports))
+        """, *map(str, BLAS_HEAVY), OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        reports[threads] = json.loads(proc.stdout)
+    assert len(BLAS_HEAVY) == 3 and reports["1"] == reports["2"]
+    for path, text in zip(BLAS_HEAVY, reports["1"]):
+        pinned = json.loads(path.read_text())
+        assert_same(parse_report(pinned["argv"], text), pinned["report"], path.stem)
+
+
 CLOSED_FORM = [p for p in PINNED if json.loads(p.read_text())["argv"][0] in ("field", "thermal")]
 
 
 def test_closed_form_reports_never_execute_numpy():
     # executing numpy costs about 100 ms, and the field and thermal formulas are
-    # pure math/cmath; numpy.linalg is loaded by numpy's own __init__ (1.24, 2.x)
+    # pure math; numpy.linalg is loaded by numpy's own __init__ (1.24, 2.x)
     assert len(CLOSED_FORM) == 4
     proc = _fresh_python("""
         import contextlib, io, json, sys

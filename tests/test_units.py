@@ -12,7 +12,6 @@ from qdeco.units import (
     SI,
     TIME,
     VOLUME,
-    ConstantsTable,
     PhysicalQuantity,
     convert,
     efield_factor_via_ev_chain,
@@ -31,10 +30,6 @@ ALL_DIMENSIONS = [LENGTH, TIME, VOLUME, ENERGY, ELECTRIC_FIELD, DIMENSIONLESS]
 class TestConstants:
     def test_charge_squared_is_4_pi_alpha(self):
         assert abs(CONSTANTS.e**2 - 4.0 * math.pi * CONSTANTS.fine_structure) <= 1e-12
-
-    def test_table_rejects_inconsistent_charge(self):
-        with pytest.raises(ValueError):
-            ConstantsTable(e=0.3)
 
     def test_electron_mass(self):
         assert CONSTANTS.m_electron == pytest.approx(0.5109989)
