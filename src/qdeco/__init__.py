@@ -1,8 +1,9 @@
 """Numerical laboratory for environment-induced decoherence.
 
-Subpackages:
+Modules:
 
-- :mod:`qdeco.hilbert`: dense tensor-product states, density matrices, spectra.
+- :mod:`qdeco.hilbert`: tensor-product states, density matrices kept on their
+  support, spectra.
 - :mod:`qdeco.decoherence`: correlated-state pipeline and the solvable
   central-spin dephasing bath.
 - :mod:`qdeco.lattice_qed`: truncated-link 1D electrodynamics, Gauss

@@ -14,7 +14,6 @@ from collections import namedtuple
 
 from ._numpy import np
 from .hilbert import (
-    _DIAG_FLOOR,
     DENSE_OPERATOR_LIMIT,
     DensityMatrix,
     NormalizationError,
@@ -40,7 +39,7 @@ __all__ = [
     "binary_entropy",
 ]
 
-NORM_TOL = 1e-9  # unit norm of a built state or of the system weights
+NORM_TOL = 1e-9  # unit norm of a built state
 MAX_BATH_SIZE = 12
 _PHASE_BLOCK = 2**14  # (time, energy) entries per block of the bath phase table
 # The bath phase table costs about 12-18 ns per (time, energy) entry: K = 1427
@@ -211,18 +210,19 @@ def environment_overlap(spec: CorrelatedStateSpec, n: int, m: int) -> complex:
     return spec.environment_states[n].overlap(spec.environment_states[m])
 
 
-class SpinBathModel(namedtuple("SpinBathModel", "bath_size couplings system_weights")):
-    """Central qubit dephased by ``bath_size`` spins prepared in |+>.
+class SpinBathModel(namedtuple("SpinBathModel", "bath_size couplings")):
+    """Central qubit (|0> + |1>)/sqrt(2) dephased by ``bath_size`` spins prepared in |+>.
 
     ``couplings`` are angular frequencies g_k (natural units); the interaction
     is sigma_z^sys (x) sum_k (g_k/2) sigma_z^(k), so the system populations are
-    frozen and only the off-diagonal coherence evolves.  ``system_weights``
-    (c0, c1) default to equal weights.
+    frozen at 1/2 and only the off-diagonal coherence evolves.  This is the
+    model of W. H. Zurek, Phys. Rev. D 26, 1862 (1982); its normalized coherence
+    does not depend on the system weights, so the system state is fixed.
     """
 
     __slots__ = ()
 
-    def __new__(cls, bath_size, couplings, system_weights=(1 / math.sqrt(2), 1 / math.sqrt(2))):
+    def __new__(cls, bath_size, couplings):
         if bath_size < 1:
             raise ValueError("bath_size must be >= 1")
         g = np.asarray(couplings, dtype=np.float64).ravel()
@@ -230,10 +230,7 @@ class SpinBathModel(namedtuple("SpinBathModel", "bath_size couplings system_weig
             raise ValueError(f"need {bath_size} couplings, got {g.shape[0]}")
         if not np.all(np.isfinite(g)):
             raise ValueError("couplings must be finite")
-        c0, c1 = complex(system_weights[0]), complex(system_weights[1])
-        if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > NORM_TOL:
-            raise NormalizationError("system weights must satisfy |c0|^2 + |c1|^2 = 1")
-        return super().__new__(cls, bath_size, g, (c0, c1))
+        return super().__new__(cls, bath_size, g)
 
 
 class DephasingCurve(namedtuple("DephasingCurve", "times coherence entropy")):
@@ -313,13 +310,13 @@ def _bath_overlap(model: SpinBathModel, times: np.ndarray) -> np.ndarray:
 
 
 def spin_bath_evolve(model: SpinBathModel, times) -> DephasingCurve:
-    """Reduced system qubit of (c0|0> + c1|1>) (x)_k |+>, evolved exactly.
+    """Reduced system qubit of (|0> + |1>)/sqrt(2) (x)_k |+>, evolved exactly.
 
-    The coupling is diagonal, so rho00 = |c0|^2, rho11 = |c1|^2 and
-    rho01(t) = c0 c1* sum_j w_j exp(-2i E_j t), summed over the distinct
-    energies E_j of the 2^N bath basis states, each weighted by the share w_j
-    of states that have it.  Returns the coherence |rho01| / sqrt(rho00 rho11)
-    and the entropy of the validated spectra.
+    The coupling is diagonal, so rho(t) = [[1, r], [r, 1]] / 2 with the bath
+    overlap r(t) = sum_j w_j exp(-2i E_j t), summed over the distinct energies
+    E_j of the 2^N bath basis states, each weighted by the share w_j of states
+    that have it; r is real (see :func:`_bath_overlap`).  Returns the coherence
+    |r| and the entropy of the validated spectra.
     """
     if model.bath_size > MAX_BATH_SIZE:
         raise ValueError(
@@ -330,21 +327,10 @@ def spin_bath_evolve(model: SpinBathModel, times) -> DephasingCurve:
         raise ValueError("times must be nonnegative")
     _check_phase_range(model, t_arr)
 
-    c0, c1 = model.system_weights
     overlap = _bath_overlap(model, t_arr)
-
-    rho = np.empty((len(t_arr), 2, 2), dtype=np.complex128)
-    rho[:, 0, 0] = abs(c0) ** 2
-    rho[:, 1, 1] = abs(c1) ** 2
-    rho[:, 0, 1] = c0 * c1.conjugate() * overlap
-    rho[:, 1, 0] = rho[:, 0, 1].conj()
-    entropies = spectrum_entropy(density_spectrum(rho))
-
-    weight = abs(c0) ** 2 * abs(c1) ** 2  # an empty branch has coherence 0, as in coherence_norm
-    coherences = np.zeros_like(t_arr)
-    if weight > _DIAG_FLOOR:
-        coherences = np.abs(rho[:, 0, 1]) / math.sqrt(weight)
-    return DephasingCurve(t_arr, np.clip(coherences, 0.0, 1.0), np.clip(entropies, 0.0, None))
+    rho = np.full((len(t_arr), 2, 2), 0.5, dtype=np.complex128)
+    rho[:, 0, 1] = rho[:, 1, 0] = 0.5 * overlap
+    return DephasingCurve(t_arr, np.abs(overlap), spectrum_entropy(density_spectrum(rho)))
 
 
 def binary_entropy(p):
@@ -366,7 +352,7 @@ class EntropyCheck(namedtuple("EntropyCheck", "max_deviation monotone_in_coheren
 
 
 def entropy_curve(curve: DephasingCurve) -> EntropyCheck:
-    """Check S(t) = h((1 - |r(t)|)/2) pointwise for an equal-weight curve.
+    """Check S(t) = h((1 - |r(t)|)/2) pointwise.
 
     Also verifies, by sorting the samples, that entropy decreases whenever
     coherence increases.

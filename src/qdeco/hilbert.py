@@ -208,6 +208,10 @@ class DensityMatrix(namedtuple("DensityMatrix", "layout block support spectrum")
         spectrum.flags.writeable = False
         return self._replace(block=block, support=support, spectrum=spectrum)
 
+    def __getnewargs__(self):
+        """Copies and unpickled records are rebuilt, and validated, from these."""
+        return (self.layout, self.block, self.support)
+
     @property
     def entries(self) -> np.ndarray:
         full = np.zeros((self.dim, self.dim), dtype=np.complex128)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Collection
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from ._numpy import np
 from .hilbert import DENSE_OPERATOR_LIMIT, Operator, StateVector, TensorLayout
@@ -368,9 +368,7 @@ def string_contrast(decomp: SectorDecomposition) -> float:
     contrast = 0.0
     for x in range(1, spec.sites + 1):
         src, dst = _wilson_map(spec, x)
-        image = np.zeros_like(lo)
-        image[dst] = lo[src]
-        contrast = max(contrast, abs(np.vdot(hi, image)))
+        contrast = max(contrast, abs(np.vdot(hi[dst], lo[src])))
     return contrast
 
 
@@ -541,9 +539,12 @@ def superselection_report(
 
     Records the largest cross matrix element |<+|O|->| and the largest
     difference between operator expectations in the equal superposition and in
-    the even mixture.  With ``include_boundary_link`` the operator basis is
-    extended to the boundary link, which admits string operators that connect
-    the sectors; this is the contrast case, not a locality statement.
+    the even mixture.  For a Hermitian O and s = (psi_+ + psi_-)/sqrt(2) that
+    difference is <s|O|s> - (<+|O|+> + <-|O|->)/2 = Re <+|O|->, so one
+    evaluation of the basis on (psi_+, psi_-) gives both numbers.  With
+    ``include_boundary_link`` the operator basis is extended to the boundary
+    link, which admits string operators that connect the sectors; this is the
+    contrast case, not a locality statement.
 
     The basis is that of :func:`gauge_invariant_local_basis`; its matrix
     elements are computed from the support table, without dense matrices.
@@ -556,22 +557,17 @@ def superselection_report(
     # every site and link factor, the boundary link (the last factor) only on request
     factors = list(range(2 * spec.sites if include_boundary_link else 2 * spec.sites - 1))
     position, code = _support_table(spec, factors)
-
-    plus = psi_plus.amplitudes[position]
-    minus = psi_minus.amplitudes[position]
-    superpos = (plus + minus) / math.sqrt(2.0)
-    elements = partial(_basis_elements, *_kept_pairs(code))
-    cross = np.abs(elements(plus, minus))
-    exp_sup = elements(superpos, superpos).real
-    exp_mix = 0.5 * (elements(plus, plus).real + elements(minus, minus).real)
+    cross = _basis_elements(
+        *_kept_pairs(code), psi_plus.amplitudes[position], psi_minus.amplitudes[position]
+    )
 
     return SuperselectionReport(
         physical_dim=subspace.dim,
         sector_plus=sector_plus,
         sector_minus=sector_minus,
         n_operators=len(cross),
-        max_cross=float(np.max(cross)),
-        max_expectation_diff=float(np.max(np.abs(exp_sup - exp_mix))),
+        max_cross=float(np.max(np.abs(cross))),
+        max_expectation_diff=float(np.max(np.abs(cross.real))),
     )
 
 

@@ -543,6 +543,19 @@ class TestSpinBathEvolve:
         assert abs(curve.coherence[0] - 1.0) <= 1e-12
         assert curve.entropy[0] <= 1e-9
 
+    @pytest.mark.parametrize("kind", ["uniform", "random", "zero"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_initial_state_is_exactly_pure(self, n, kind):
+        # at t = 0 the overlap sums the dyadic shares w_j = count_j / 2^N exactly to 1
+        couplings = {
+            "uniform": np.full(n, 0.759641),
+            "random": np.random.default_rng(900 + n).uniform(0.2, 2.0, size=n),
+            "zero": np.zeros(n),
+        }[kind]
+        curve = spin_bath_evolve(SpinBathModel(bath_size=n, couplings=couplings), [0.0])
+        assert curve.coherence[0] == 1.0
+        assert curve.entropy[0] == 0.0
+
     def test_full_revival_commensurate(self):
         model = SpinBathModel(bath_size=4, couplings=np.ones(4))
         curve = spin_bath_evolve(model, [math.pi])
@@ -566,20 +579,15 @@ class TestSpinBathEvolve:
     def test_against_dense_kron_oracle(self):
         couplings = [0.7, 1.3, 2.1]
         times = [0.0, 0.3, 1.7, math.pi]
-        for weights in [(INV_SQRT2, INV_SQRT2), (0.6, 0.8), (1.0, 0.0)]:
-            model = SpinBathModel(
-                bath_size=3, couplings=np.array(couplings), system_weights=weights
-            )
-            curve = spin_bath_evolve(model, times)
-            for i, t in enumerate(times):
-                psi = evolve_dephasing(couplings, weights, t)
-                assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
-                rho = reduced_qubit(psi)
-                populations = rho[0, 0].real * rho[1, 1].real
-                got = abs(rho[0, 1]) / math.sqrt(populations) if populations > 1e-30 else 0.0
-                assert abs(curve.coherence[i] - got) <= 1e-12, (weights, t)
-                entropy = direct_entropy(np.linalg.eigvalsh(rho))
-                assert abs(curve.entropy[i] - entropy) <= 1e-12, (weights, t)
+        curve = spin_bath_evolve(SpinBathModel(bath_size=3, couplings=couplings), times)
+        for i, t in enumerate(times):
+            psi = evolve_dephasing(couplings, (INV_SQRT2, INV_SQRT2), t)
+            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+            rho = reduced_qubit(psi)
+            got = abs(rho[0, 1]) / math.sqrt(rho[0, 0].real * rho[1, 1].real)
+            assert abs(curve.coherence[i] - got) <= 1e-12, t
+            entropy = direct_entropy(np.linalg.eigvalsh(rho))
+            assert abs(curve.entropy[i] - entropy) <= 1e-12, t
 
     def test_empty_times(self):
         model = SpinBathModel(bath_size=3, couplings=np.array([0.7, 1.3, 2.1]))
@@ -602,15 +610,6 @@ class TestSpinBathEvolve:
         model = SpinBathModel(bath_size=4, couplings=np.linspace(0.5, 1.4, 4))
         spin_bath_evolve(model, np.linspace(0.0, 3.0, 40))
         assert calls == [(40, 2, 2)]
-
-    def test_unequal_weights_coherence_is_normalized(self):
-        model = SpinBathModel(
-            bath_size=4, couplings=np.array([0.4, 0.9, 1.1, 1.6]),
-            system_weights=(0.6, 0.8),
-        )
-        t = 0.8
-        curve = spin_bath_evolve(model, [t])
-        assert abs(curve.coherence[0] - spin_bath_coherence(model, t)) <= 1e-10
 
     def test_bath_size_bound(self):
         with pytest.raises(ValueError, match=r"^bath_size 13 exceeds the 2\^N bath-energy table"):
@@ -636,24 +635,23 @@ class TestSpinBathEvolve:
 
 
 def _bath_cases():
-    """(couplings, system weights) for every bath size the evolution admits."""
+    """Three coupling sets for every bath size the evolution admits.
+
+    The ``weighted`` sets are random draws left unsorted.
+    """
     rng = np.random.default_rng(2005)
     for n in range(1, 13):
-        yield pytest.param(np.full(n, 0.759641), (INV_SQRT2, INV_SQRT2), id=f"uniform-{n}")
-        yield pytest.param(
-            np.sort(rng.uniform(0.2, 2.0, size=n)), (INV_SQRT2, INV_SQRT2), id=f"distinct-{n}"
-        )
-        yield pytest.param(rng.uniform(0.2, 2.0, size=n), (0.6, 0.8), id=f"weighted-{n}")
+        yield pytest.param(np.full(n, 0.759641), id=f"uniform-{n}")
+        yield pytest.param(np.sort(rng.uniform(0.2, 2.0, size=n)), id=f"distinct-{n}")
+        yield pytest.param(rng.uniform(0.2, 2.0, size=n), id=f"weighted-{n}")
 
 
 class TestBathSpectrumSum:
     """The sum over distinct bath energies against the per-step mean over all 2^N states."""
 
-    @pytest.mark.parametrize("couplings,weights", list(_bath_cases()))
-    def test_matches_brute_force_mean(self, couplings, weights):
-        model = SpinBathModel(
-            bath_size=len(couplings), couplings=couplings, system_weights=weights
-        )
+    @pytest.mark.parametrize("couplings", list(_bath_cases()))
+    def test_matches_brute_force_mean(self, couplings):
+        model = SpinBathModel(bath_size=len(couplings), couplings=couplings)
         times = np.linspace(0.0, 6.0, 61)
         brute = brute_bath_overlap(couplings, times)
         assert np.max(np.abs(decoherence._bath_overlap(model, times) - brute)) <= 1e-13
@@ -788,10 +786,6 @@ class TestEntropyCurve:
 
 
 class TestSpinBathModelValidation:
-    def test_rejects_bad_weights(self):
-        with pytest.raises(NormalizationError):
-            SpinBathModel(bath_size=1, couplings=np.array([1.0]), system_weights=(1.0, 1.0))
-
     def test_rejects_wrong_coupling_count(self):
         with pytest.raises(ValueError):
             SpinBathModel(bath_size=2, couplings=np.array([1.0]))

@@ -534,6 +534,18 @@ class TestSuperselectionReport:
         with pytest.raises(ValueError):
             superselection_report(spec, good, bad)
 
+    # the sectors `lattice superselect` picks: +-1 when both exist, else the extremes
+    @pytest.mark.parametrize("sites,e_max,left_field,q_plus,q_minus", [
+        (2, 2, 0, 1, -1), (2, 1, 0, 1, -1), (2, 1, 1, 0, -2), (1, 3, 0, 1, -1),
+    ])
+    def test_command_sectors_give_exact_zeros(self, sites, e_max, left_field, q_plus, q_minus):
+        spec = LatticeSpec(sites, e_max, left_field)
+        decomp = charge_sectors(physical_subspace(spec))
+        plus, minus = sector_state(decomp, q_plus), sector_state(decomp, q_minus)
+        report = superselection_report(spec, plus, minus)
+        assert (report.sector_plus, report.sector_minus) == (q_plus, q_minus)
+        assert report.max_cross == report.max_expectation_diff == 0.0
+
     def test_report_memory_stays_linear_in_the_pairs(self):
         # comparing all d_int^2 d_ext = 2187^2 x 3 triples peaks above 8 MiB here;
         # the sorted pair search holds about 2 MiB, linear in the kept pairs
@@ -690,6 +702,22 @@ class TestSupportFormParity:
             assert report.max_expectation_diff == pytest.approx(ref_diff, rel=1e-12)
         else:
             assert max(values) <= 1e-12
+
+    @pytest.mark.parametrize("sites,e_max", [(1, 1), (1, 3), (2, 1), (2, 2)])
+    def test_same_sector_gap_matches_dense_superposition(self, sites, e_max):
+        # inside one sector the interior operators do tell the superposition
+        # from the mixture; the dense route forms both states' expectations
+        spec = LatticeSpec(sites=sites, e_max=e_max)
+        sub = physical_subspace(spec)
+        decomp = charge_sectors(sub)
+        rng = np.random.default_rng(11 * sites + e_max)
+        plus, minus = (random_sector_state(rng, sub, decomp, 0) for _ in range(2))
+        report = superselection_report(spec, plus, minus)
+        ops = [op.entries for op in gauge_invariant_local_basis(spec, maximal_interior(spec))]
+        ref_cross, ref_diff = dense_report(ops, plus.amplitudes, minus.amplitudes)
+        assert ref_diff > 0.1
+        assert report.max_cross == pytest.approx(ref_cross, rel=1e-12)
+        assert report.max_expectation_diff == pytest.approx(ref_diff, rel=1e-12)
 
     @pytest.mark.parametrize("sites,e_max", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
     def test_support_table_matches_enumeration(self, sites, e_max):
