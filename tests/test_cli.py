@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -16,6 +19,8 @@ from qdeco.decoherence import ENTROPY_CHECK_TOL, NORM_TOL
 from qdeco.lattice_qed import CROSS_ELEMENT_TOL
 
 from oracles import brute_force_gauss_kernel
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 README_ARGVS = [
@@ -454,6 +459,39 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("qdeco: error: cannot write report: ")
         assert not target.exists()
+
+    @staticmethod
+    def _command(argv, stdout):
+        """``qdeco argv`` as the console script runs it, in a fresh process, stdout buffered."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run([sys.executable, "-c", "from qdeco.cli import main; main()", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env={**env, "PYTHONPATH": SRC})
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_is_exit_2(self):
+        # a report of a few hundred bytes stays in stdout's buffer until the flush
+        with open("/dev/full", "w") as full:
+            proc = self._command(["thermal", "length", "--time-s", "1"], full)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("qdeco: error: cannot write report: ")
+        assert len(proc.stderr.splitlines()) == 1 and "No space left" in proc.stderr
+
+    def test_closed_pipe_is_exit_2(self, capsys):
+        argv = ["dephasing", "--spins", "8", "--coupling", "1.0", "--t-max", "6.0",
+                "--steps", "2000", "--format", "csv"]
+        code, out, _ = run_capture(capsys, argv)
+        # more than a pipe holds, so the write must reach the reader
+        assert code == 0 and len(out) > 2**16
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._command(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("qdeco: error: cannot write report: ")
+        assert len(proc.stderr.splitlines()) == 1 and "Broken pipe" in proc.stderr
 
 
 class TestReports:

@@ -207,6 +207,71 @@ def test_missing_numpy_fails_the_import_and_numpy_imported_later_is_shared():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_command_runs_openblas_on_one_thread_unless_the_user_sets_it(threads):
+    # OpenBLAS starts its workers when numpy loads it, and caps them at the CPUs
+    # the process may use; main counts the tasks at its os._exit
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent("""
+        import os, sys
+        import qdeco.cli
+        if "numpy" not in sys.modules or "numpy.linalg" in sys.modules:
+            sys.exit("import qdeco.cli executed numpy, or did not register it")
+        exit_process = os._exit
+        def counted_exit(code):
+            os.write(2, f"{len(os.listdir('/proc/self/task'))}\\n".encode())
+            exit_process(code)
+        os._exit = counted_exit
+        sys.argv = ["qdeco", "tripartite", "--coeffs", "0.6,0.8", "--env-overlap", "0.3"]
+        qdeco.cli.main()
+    """)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outputs"]["coherence_norm"] == pytest.approx(0.3)
+    expected = 1 if threads is None else min(2, len(os.sched_getaffinity(0)))
+    assert proc.stderr == f"{expected}\n"
+
+
+# a sweep of about 1.3 MiB through a pipe, a --out report, a refusal, a usage
+# error, and the help, which argparse leaves in stdout's buffer
+EXTRA_ENDINGS = {
+    "dephasing_over_1_mib": (["dephasing", "--spins", "8", "--coupling", "1.0", "--t-max", "6.0",
+                              "--steps", "30000", "--format", "csv"], 0),
+    "out_file": (["thermal", "length", "--time-s", "1", "--out", "{out}"], 0),
+    "refusal": (["field", "factor", "--volume-cm3", "-1", "--efield-v-per-cm", "1e7"], 1),
+    "usage_error": (["thermal", "length", "--time-s", "one"], 2),
+    "help": (["thermal", "length", "-h"], 0),
+}
+ENDINGS = [(json.loads(p.read_text())["argv"], 0) for p in PINNED] + list(EXTRA_ENDINGS.values())
+
+
+@pytest.mark.parametrize("argv,code", ENDINGS, ids=[p.stem for p in PINNED] + list(EXTRA_ENDINGS))
+def test_command_ends_without_teardown_and_loses_nothing(argv, code, capsys, tmp_path,
+                                                         monkeypatch):
+    # main ends with os._exit, so nothing is flushed or closed after it returns;
+    # the child's stdout is buffered, as a console script's is by default
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps the help to
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    out = {side: tmp_path / f"{side}.txt" for side in ("child", "inproc")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdeco.cli", *[a.format(out=out["child"]) for a in argv]],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert run([a.format(out=out["inproc"]) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    if "--out" in argv:
+        assert out["child"].read_text() == out["inproc"].read_text() != ""
+    if code == 0 and "--out" not in argv:
+        assert proc.stdout and not proc.stderr
+    if argv is EXTRA_ENDINGS["dephasing_over_1_mib"][0]:
+        assert len(proc.stdout) > 2**20
+
+
 class TestComparison:
     def test_last_printed_digit_may_change(self):
         assert_same({"x": 0.123456789013}, {"x": 0.123456789012})
