@@ -88,10 +88,6 @@ class CorrelatedStateSpec(namedtuple(
             _check_consistent(states, label)
         return super().__new__(cls, c, system_states, apparatus_states, environment_states)
 
-    @property
-    def n_branches(self) -> int:
-        return len(self.coefficients)
-
 
 def equal_overlap_spec(coefficients, overlap: float) -> CorrelatedStateSpec:
     """Branches |n> (x) |n> (x) |env_n> whose environments overlap pairwise by ``overlap``.
@@ -189,7 +185,7 @@ def reduce_to_apparatus(psi: StateVector) -> DensityMatrix:
     the block and M_S^dag M_S is smaller.  A (system, apparatus) dimension
     above ``DENSE_OPERATOR_LIMIT`` is refused before the block is formed.
     """
-    if psi.layout.n_factors != 3:
+    if len(psi.layout.dims) != 3:
         raise ValueError(
             f"expected a (system, apparatus, environment) layout, got {psi.layout.dims}"
         )
@@ -204,7 +200,7 @@ def reduce_to_apparatus(psi: StateVector) -> DensityMatrix:
 
 def environment_overlap(spec: CorrelatedStateSpec, n: int, m: int) -> complex:
     """Inner product <env_n|env_m> (conjugation on the first argument)."""
-    n_branches = spec.n_branches
+    n_branches = len(spec.coefficients)
     if not (0 <= n < n_branches and 0 <= m < n_branches):
         raise ValueError(f"branch indices ({n}, {m}) out of range for {n_branches} branches")
     return spec.environment_states[n].overlap(spec.environment_states[m])

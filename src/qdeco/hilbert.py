@@ -10,8 +10,8 @@ keeps the spectrum that validated it; reduced states come from
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
-from functools import reduce
 
 from ._numpy import np
 
@@ -58,11 +58,7 @@ class TensorLayout(namedtuple("TensorLayout", "dims")):
 
     @property
     def flat_dim(self) -> int:
-        return reduce(lambda a, b: a * b, self.dims, 1)
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.dims)
+        return math.prod(self.dims)
 
 
 def _as_complex_vector(amplitudes) -> np.ndarray:

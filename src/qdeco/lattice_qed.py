@@ -154,17 +154,6 @@ class _ConfigTable(namedtuple("_ConfigTable", "charges fields divergence")):
     __slots__ = ()
 
 
-def _config_table(spec: LatticeSpec) -> _ConfigTable:
-    """The configuration table of a spec, enumerated on the first call only.
-
-    Specs beyond ``ENUMERATION_LIMIT`` are refused on every call, before the
-    cache is consulted.  The bound allows at most N = 4 sites, so one table
-    takes at most 20 000 x 4 x 3 x 8 B, about 1.9 MB.
-    """
-    _checked_flat_dim(spec, ENUMERATION_LIMIT, "enumeration")
-    return _enumerate(spec)
-
-
 def _checked_flat_dim(spec: LatticeSpec, bound: int, name: str) -> int:
     """``spec.flat_dim``, or a refusal that names the bound it exceeds."""
     dim = spec.flat_dim_or_power(bound)
@@ -174,7 +163,15 @@ def _checked_flat_dim(spec: LatticeSpec, bound: int, name: str) -> int:
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _enumerate(spec: LatticeSpec) -> _ConfigTable:
+def _config_table(spec: LatticeSpec) -> _ConfigTable:
+    """The configuration table of a spec, enumerated on the first call only.
+
+    Specs beyond ``ENUMERATION_LIMIT`` are refused on every call, since
+    ``lru_cache`` stores no exception: a refusal is never cached.  The bound
+    allows at most N = 4 sites, so one table takes at most 20 000 x 4 x 3 x 8 B,
+    about 1.9 MB.
+    """
+    _checked_flat_dim(spec, ENUMERATION_LIMIT, "enumeration")
     n = spec.sites
     idx = np.unravel_index(np.arange(spec.flat_dim), spec.layout.dims)
     charges = np.stack([idx[x] - 1 for x in range(n)], axis=1).astype(np.float64)
@@ -354,17 +351,17 @@ def wilson_line(spec: LatticeSpec, x: int) -> Operator:
 def string_contrast(decomp: SectorDecomposition) -> float:
     """Largest |<hi|W_x|lo>| over the string operators W_x of x = 1..N.
 
-    ``lo`` and ``hi`` are the :func:`sector_state` of the lowest charges q and
-    q + 1 that both have a sector.  A string reaching the boundary raises the
-    charge by one, so it connects them, which no interior operator does.  0 when
-    no two sectors are adjacent.
+    ``lo`` and ``hi`` are the :func:`sector_state` of the lowest charge q and of
+    q + 1.  The charges always form an interval of at least two integers:
+    |left field| <= e_max and e_max >= 1 give E_1 = left + q_1 two values or
+    more, and each further link moves the field by -1, 0 or +1 inside the
+    truncation.  A string reaching the boundary raises the charge by one, so it
+    connects the two sectors, which no interior operator does.
     """
-    adjacent = [q for q in decomp.charges() if q + 1 in decomp.sectors]
-    if not adjacent:
-        return 0.0
     spec = decomp.subspace.spec
-    lo = sector_state(decomp, adjacent[0]).amplitudes
-    hi = sector_state(decomp, adjacent[0] + 1).amplitudes
+    q = decomp.charges()[0]
+    lo = sector_state(decomp, q).amplitudes
+    hi = sector_state(decomp, q + 1).amplitudes
     contrast = 0.0
     for x in range(1, spec.sites + 1):
         src, dst = _wilson_map(spec, x)

@@ -116,9 +116,6 @@ class PhysicalQuantity(namedtuple("PhysicalQuantity", "magnitude dimension unit_
             raise ValueError(f"unknown unit system {unit_system!r}")
         return super().__new__(cls, float(magnitude), dimension, unit_system)
 
-    def to(self, target: str) -> "PhysicalQuantity":
-        return convert(self, target)
-
 
 def convert(q: PhysicalQuantity, target: str) -> PhysicalQuantity:
     """Convert between the SI and natural systems; round-trips are exact to 1e-12."""
@@ -132,22 +129,23 @@ def convert(q: PhysicalQuantity, target: str) -> PhysicalQuantity:
     return PhysicalQuantity(q.magnitude / factor, q.dimension, SI)
 
 
-def to_natural(value, dimension: str) -> float:
-    """Natural-unit magnitude of a quantity; bare floats pass through unchanged."""
+def _magnitude(value, dimension: str, target: str) -> float:
+    """Magnitude of a quantity of ``dimension`` in ``target``; bare floats pass through."""
     if isinstance(value, PhysicalQuantity):
         if value.dimension != dimension:
             raise ValueError(f"expected a {dimension}, got a {value.dimension}")
-        return convert(value, NATURAL).magnitude
+        return convert(value, target).magnitude
     return float(value)
+
+
+def to_natural(value, dimension: str) -> float:
+    """Natural-unit magnitude of a quantity; bare floats pass through unchanged."""
+    return _magnitude(value, dimension, NATURAL)
 
 
 def to_si(value, dimension: str) -> float:
     """SI magnitude of a quantity; bare floats are taken as already SI."""
-    if isinstance(value, PhysicalQuantity):
-        if value.dimension != dimension:
-            raise ValueError(f"expected a {dimension}, got a {value.dimension}")
-        return convert(value, SI).magnitude
-    return float(value)
+    return _magnitude(value, dimension, SI)
 
 
 def si_length_cm(value: float) -> PhysicalQuantity:

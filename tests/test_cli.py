@@ -294,7 +294,7 @@ class TestExitCodes:
         def enumerate_spec(spec):
             raise AssertionError("enumerated a refused spec")
 
-        monkeypatch.setattr(lattice_qed, "_enumerate", enumerate_spec)
+        monkeypatch.setattr(lattice_qed, "_config_table", enumerate_spec)
         argv = ["lattice", "identity-check", "--sites", "4", "--emax", "1", "--seed", "1",
                 "--trials", "100000000"]
         code, out, err = run_capture(capsys, argv)
@@ -341,6 +341,23 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, argv)
         assert (code, out) == (1, "")
         assert err == "qdeco: validation error: spins must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "argv,code,line",
+        [
+            (["dephasing", "--spins", "3", "--coupling", "1,2", "--t-max", "1", "--steps", "5"],
+             1, "qdeco: validation error: need 1 or 3 couplings, got 2"),
+            (["dephasing", "--spins", "3", "--coupling", "1", "--t-max", "1", "--steps", "0"],
+             1, "qdeco: validation error: steps must be >= 1"),
+            (["tripartite", "--coeffs", "0.6,x", "--env-overlap", "0.2"],
+             2, "qdeco: error: expected comma-separated floats, got '0.6,x'"),
+            (["dephasing", "--spins", "x", "--coupling", "1", "--t-max", "1", "--steps", "5"],
+             2, "qdeco: error: expected an integer, got 'x'"),
+        ],
+        ids=["coupling-count", "zero-steps", "float-list", "integer"],
+    )
+    def test_refusal_is_its_one_line(self, capsys, argv, code, line):
+        assert run_capture(capsys, argv) == (code, "", line + "\n")
 
     def test_dephasing_over_the_bath_bound_refused_before_repeating_the_coupling(self, capsys):
         # one coupling repeated 1e9 times would take about 16 GB

@@ -537,6 +537,11 @@ class TestSpinBathCoherence:
 
 
 class TestSpinBathEvolve:
+    def test_negative_time_refused(self):
+        model = SpinBathModel(bath_size=2, couplings=np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match=r"^times must be nonnegative$"):
+            spin_bath_evolve(model, [0.0, -1.0])
+
     def test_initial_point(self):
         model = SpinBathModel(bath_size=3, couplings=np.array([0.5, 1.0, 1.5]))
         curve = spin_bath_evolve(model, [0.0])

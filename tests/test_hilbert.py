@@ -58,6 +58,16 @@ class TestTensorLayout:
             TensorLayout(dims)
 
 
+class TestStateRefusals:
+    def test_overlap_across_dimensions(self):
+        with pytest.raises(ValueError, match=r"^states live in different dimensions$"):
+            basis_state(2, 0).overlap(basis_state(3, 0))
+
+    def test_basis_index_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^basis index 2 out of range for dimension 2$"):
+            basis_state(2, 2)
+
+
 class TestTensorProduct:
     def test_basis_states(self):
         out = tensor_product(basis_state(2, 0), basis_state(2, 1))

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from qdeco.cli import run
-from qdeco.hilbert import StateVector
+from qdeco.hilbert import StateVector, basis_state
 from qdeco.lattice_qed import (
     CROSS_ELEMENT_TOL,
+    ENUMERATION_LIMIT,
     GaugeFunction,
     LatticeSpec,
+    SectorDecomposition,
     boundary_decomposition_diagonals,
     charge_phase_action,
     charge_sectors,
@@ -31,7 +33,6 @@ from qdeco.lattice_qed import (
     _basis_elements,
     _commutant_basis,
     _config_table,
-    _enumerate,
     _kept_pairs,
     _support_table,
     _wilson_map,
@@ -421,6 +422,26 @@ class TestSectorStates:
         assert want > 0.1
         assert abs(string_contrast(decomp) - want) <= 1e-14
 
+    def test_charges_form_an_interval_of_at_least_two(self):
+        # E_N moves by -1, 0 or +1 per link inside [-e, e], starting from the left field
+        specs = [
+            LatticeSpec(n, e, left)
+            for n in range(1, 5) for e in range(1, 7) for left in range(-e, e + 1)
+            if LatticeSpec(n, e).flat_dim <= ENUMERATION_LIMIT
+        ]
+        assert len(specs) == 123
+        for spec in specs:
+            n, e, left = spec
+            lo, hi = max(-e, left - n) - left, min(e, left + n) - left
+            assert charge_sectors(physical_subspace(spec)).charges() == list(range(lo, hi + 1))
+            assert hi - lo >= 1
+
+    def test_string_contrast_of_a_hand_built_gap_is_refused(self):
+        decomp = charge_sectors(physical_subspace(LatticeSpec(1, 1, 0)))
+        gapped = SectorDecomposition(decomp.subspace, {q: decomp.sectors[q] for q in (-1, 1)})
+        with pytest.raises(ValueError, match=r"^no charge-0 sector; the charges are \[-1, 1\]$"):
+            string_contrast(gapped)
+
 
 class TestGaugeInvariantLocalBasis:
     def test_single_site_interior_is_diagonal(self):
@@ -561,6 +582,42 @@ class TestSuperselectionReport:
             tracemalloc.stop()
         assert report.max_cross <= CROSS_ELEMENT_TOL
         assert peak < 4 * 2**20
+
+
+class TestRefusals:
+    """Each refusal of a lattice function, with its message."""
+
+    def setup_method(self):
+        self.spec = LatticeSpec(sites=2, e_max=1)
+        self.sub = physical_subspace(self.spec)
+        self.decomp = charge_sectors(self.sub)
+        self.plus = sector_basis_state(self.spec, self.sub, self.decomp, 1)
+        self.minus = sector_basis_state(self.spec, self.sub, self.decomp, -1)
+
+    def test_gauge_function_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=r"^gauge function has 3 values, lattice has 2 sites$"):
+            gauge_generator_diagonal(self.spec, GaugeFunction([0.1, 0.2, 0.3]))
+
+    def test_state_of_norm_two(self):
+        double = StateVector(self.spec.layout, 2.0 * self.plus.amplitudes)
+        with pytest.raises(ValueError, match=r"^expected a unit-norm state$"):
+            superselection_report(self.spec, double, self.minus)
+
+    def test_state_over_two_sectors(self):
+        both = StateVector(
+            self.spec.layout, (self.plus.amplitudes + self.minus.amplitudes) / math.sqrt(2.0)
+        )
+        with pytest.raises(ValueError, match=r"^state is spread over several charge sectors: "):
+            superselection_report(self.spec, self.plus, both)
+
+    def test_phase_action_on_a_state_of_another_dimension(self):
+        with pytest.raises(ValueError, match=r"^state dimension does not match the lattice$"):
+            charge_phase_action(self.decomp, basis_state(3, 0), 0.5)
+
+    def test_embed_with_one_coordinate_too_many(self):
+        assert self.sub.dim == 7
+        with pytest.raises(ValueError, match=r"^expected 7 coordinates, got 8$"):
+            self.sub.embed(np.ones(8))
 
 
 class TestChargePhaseAction:
@@ -809,24 +866,24 @@ class TestConfigTable:
     """One enumeration per spec, shared read-only, never handed to callers."""
 
     def test_identity_check_enumerates_once(self, capsys):
-        _enumerate.cache_clear()
+        _config_table.cache_clear()
         argv = ["lattice", "identity-check", "--sites", "4", "--emax", "1",
                 "--seed", "1", "--trials", "200"]
         assert run(argv) == 0
         capsys.readouterr()
-        info = _enumerate.cache_info()
+        info = _config_table.cache_info()
         assert info.misses == 1
         assert info.hits > 200
 
     def test_over_the_bound_refused_on_every_call(self):
         spec = LatticeSpec(sites=4, e_max=2)
-        misses = _enumerate.cache_info().misses
+        cached = _config_table.cache_info().currsize
         for _ in range(2):
             with pytest.raises(ValueError, match="enumeration bound"):
                 physical_subspace(spec)
             with pytest.raises(ValueError, match="enumeration bound"):
                 gauss_diagonal(spec, 1)
-        assert _enumerate.cache_info().misses == misses  # refused before enumerating
+        assert _config_table.cache_info().currsize == cached  # a refusal is never cached
 
     @pytest.mark.parametrize(
         "sites,e_max,bound,expected",

@@ -38,7 +38,6 @@ from qdeco.lattice_qed import (
     LatticeSpec,
     SuperselectionReport,
     _config_table,
-    _enumerate,
     charge_sectors,
     physical_subspace,
 )
@@ -188,17 +187,18 @@ def test_records_keep_their_converted_fields():
     assert rho._fields == ("layout", "block", "support", "spectrum")
     assert rho.block.dtype == np.complex128 and rho.support.dtype == np.intp
     assert Param("--trials", int, default=50).dest == "trials"
-    assert Param("--left-field", int) == Param("--left-field", int, False, None, "")
+    assert Param._fields == ("flag", "convert", "default", "help")
+    assert Param("--left-field", int) == Param("--left-field", int, None, "")
 
 
 def test_equal_specs_share_one_configuration_table():
     a, b = LatticeSpec(2, 1), LatticeSpec(sites=2, e_max=1, left_field=0)
     assert a == b and hash(a) == hash(b)
     assert LatticeSpec(2, 1, 1) != a
-    _enumerate.cache_clear()
+    _config_table.cache_clear()
     physical_subspace(a)
     physical_subspace(b)
-    info = _enumerate.cache_info()
+    info = _config_table.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
