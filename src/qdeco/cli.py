@@ -213,7 +213,7 @@ class Param(namedtuple("Param", "flag convert default help", defaults=(None, "")
 
 def _float_list(text: str) -> list[float]:
     try:
-        values = [float(p) for p in text.split(",") if p != ""]
+        values = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"expected comma-separated floats, got {text!r}") from exc
     if not all(math.isfinite(x) for x in values):

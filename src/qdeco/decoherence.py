@@ -161,7 +161,8 @@ def build_correlated_state(spec: CorrelatedStateSpec) -> StateVector:
     support = np.flatnonzero((system != 0).T @ (apparatus != 0))
     s, a = np.divmod(support, dim_a)
     rows = (spec.coefficients[:, None] * system[:, s] * apparatus[:, a]).T @ environment
-    norm = float(np.linalg.norm(rows))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+        norm = float(np.linalg.norm(rows))
     if abs(norm**2 - 1.0) > NORM_TOL:
         raise NormalizationError(
             f"correlated state has norm {norm:.6f}, expected 1; "

@@ -35,7 +35,6 @@ __all__ = [
     "coherence_length",
     "validity_time",
     "thermal_coherence_length",
-    "DEFAULT_THERMAL_MODEL",
 ]
 
 _SUPPRESSION_DENOMINATOR = 512.0 * math.pi  # fixed by the underlying trace
@@ -55,9 +54,6 @@ class ThermalModel(namedtuple("ThermalModel", "localization_rate")):
         if localization_rate <= 0:
             raise ValueError("localization rate must be positive")
         return super().__new__(cls, localization_rate)
-
-
-DEFAULT_THERMAL_MODEL = ThermalModel()
 
 
 def _square(x: float) -> float:
@@ -139,7 +135,7 @@ def validity_time(efield) -> PhysicalQuantity:
 
 
 def thermal_coherence_length(
-    t, model: ThermalModel = DEFAULT_THERMAL_MODEL
+    t, model: ThermalModel = ThermalModel()
 ) -> PhysicalQuantity:
     """Electron coherence length 1/(sqrt(Lambda) sqrt(t)) in thermal radiation.
 

@@ -28,14 +28,12 @@ __all__ = [
     "von_neumann_entropy",
     "coherence_norm",
     "purity",
-    "HERMITICITY_TOL",
-    "TRACE_TOL",
     "DENSE_OPERATOR_LIMIT",
 ]
 
 # Double precision leaves ample headroom at these dimensions.
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
+_HERMITICITY_TOL = 1e-10
+_TRACE_TOL = 1e-10
 _POSITIVITY_TOL = 1e-10
 _DIAG_FLOOR = 1e-30
 DENSE_OPERATOR_LIMIT = 2048  # largest flat dimension of an explicit dense matrix
@@ -141,7 +139,7 @@ def _check_hermitian(entries: np.ndarray) -> None:
         raise ValueError("density matrix has non-finite entries")
     # initial= lets an empty stack through
     dev = np.max(np.abs(entries - np.swapaxes(entries, -1, -2).conj()), initial=0.0)
-    if dev > HERMITICITY_TOL:
+    if dev > _HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
 
 
@@ -153,7 +151,7 @@ def density_spectrum(entries: np.ndarray) -> np.ndarray:
     _check_hermitian(entries)
     tr = np.trace(entries, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0)
-    if np.any(off > TRACE_TOL):
+    if np.any(off > _TRACE_TOL):
         raise ValueError(f"density matrix trace {np.ravel(tr)[np.argmax(off)]} differs from 1")
     w = np.linalg.eigvalsh(entries)
     lo = float(np.min(w, initial=0.0))

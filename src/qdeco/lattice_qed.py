@@ -18,16 +18,20 @@ Public functions return fresh arrays, never the table's own.
 Gauge-invariant operators on an interior are worked out from their supports.
 Splitting every configuration into an interior part a and an exterior part e,
 a matrix unit |(a, e)><(b, e)| commutes with all constraints exactly when the
-two configurations agree in every divergence eigenvalue.  Summed over e, these
-units have pairwise disjoint supports, so one orthonormal basis of the
-commutant is the normalized projectors P_a, first, followed by the Hermitized
-units of each pair a < b with at least one agreeing e; no orthonormalization
-is needed.  The pairs come from one stable sort of each exterior column of
-packed constraint codes, which puts equal codes next to each other.  The
-superselection report evaluates that basis on index tables, and the dense
-basis lists the same operators in the same order.  The string operator is an
-index map, so neither the report nor the string builds a flat_dim x flat_dim
-matrix.
+two configurations agree in every divergence eigenvalue.  Each divergence
+E_x - E_{x-1} - q_x is linear and each of its variables is an interior or an
+exterior factor (E_0, the left field, is a constant), so it is a sum of an
+interior and an exterior term: a and b agree at one e exactly when they agree
+at every e.  One key per interior configuration, its packed divergences at the
+first exterior configuration, therefore decides every pair.  The units
+U = sum_e |(a, e)><(b, e)| of the pairs have pairwise disjoint supports, so one
+orthonormal basis of the commutant is the normalized projectors P_a, first,
+followed by the Hermitized U of each pair a < b with equal keys; no
+orthonormalization is needed.  The pairs come from one stable sort of the
+keys, which puts equal keys next to each other.  The superselection report
+evaluates that basis on index tables, and the dense basis lists the same
+operators in the same order.  The string operator is an index map, so
+neither the report nor the string builds a flat_dim x flat_dim matrix.
 
 Every index map is a view of one index grid, the flat indices reshaped to the
 factor dimensions (the C-order layout): the interior/exterior table is the
@@ -114,14 +118,6 @@ class LatticeSpec(namedtuple("LatticeSpec", "sites e_max left_field")):
         # Site charge factors first, then link field factors; configurations
         # are therefore ordered lexicographically in (q_1..q_N, E_1..E_N).
         return TensorLayout((3,) * self.sites + (self.link_dim,) * self.sites)
-
-    def site_factor(self, x: int) -> int:
-        self._check_site(x)
-        return x - 1
-
-    def link_factor(self, x: int) -> int:
-        self._check_site(x)
-        return self.sites + x - 1
 
     def _check_site(self, x: int):
         if not 1 <= x <= self.sites:
@@ -323,7 +319,8 @@ def _wilson_map(spec: LatticeSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
     left out of ``src``; ``src`` is ascending.
     """
     spec._check_site(x)
-    raised = [spec.site_factor(x)] + [spec.link_factor(y) for y in range(x, spec.sites + 1)]
+    # charge q_x is factor x - 1 and field E_y factor N + y - 1
+    raised = [x - 1] + [spec.sites + y - 1 for y in range(x, spec.sites + 1)]
     grid = _index_grid(spec)
     lower = [slice(None)] * grid.ndim
     upper = list(lower)
@@ -381,11 +378,13 @@ def _interior_factors(spec: LatticeSpec, interior: Collection[FactorLabel]) -> l
     for label in interior:
         kind, x = label
         if kind == "site":
-            factors.append(spec.site_factor(x))
+            spec._check_site(x)
+            factors.append(x - 1)
         elif kind == "link":
             if x == spec.sites:
                 raise ValueError("interior must not contain the boundary link")
-            factors.append(spec.link_factor(x))
+            spec._check_site(x)
+            factors.append(spec.sites + x - 1)
         else:
             raise ValueError(f"unknown factor label {label!r}")
     if not factors:
@@ -394,69 +393,62 @@ def _interior_factors(spec: LatticeSpec, interior: Collection[FactorLabel]) -> l
 
 
 def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices and packed constraint eigenvalues, split by the given support.
+    """Flat indices split by the given support, and one constraint key per interior row.
 
-    Returns ``position`` and ``code``, both of shape (d_int, d_ext):
-    ``position[a, e]`` is the flat index of interior configuration a (over the
-    given factors) joined to exterior configuration e (over the others), and
-    ``code[a, e]`` packs the N divergence eigenvalues of that configuration into
-    one integer, so two configurations agree in every constraint exactly when
-    their codes are equal.
+    Returns ``position``, of shape (d_int, d_ext), and ``key``, of shape
+    (d_int,): ``position[a, e]`` is the flat index of interior configuration a
+    (over the given factors) joined to exterior configuration e (over the
+    others), and ``key[a]`` packs the N divergence eigenvalues of (a, 0) into
+    one integer.  Each divergence is a sum of an interior and an exterior term,
+    so (a, e) and (b, e) agree in every constraint, at any one e, exactly when
+    ``key[a] == key[b]``.
     """
-    divergence = _config_table(spec).divergence
     grid = _index_grid(spec)
     exterior = [f for f in range(grid.ndim) if f not in factors]
     d_int = math.prod(grid.shape[f] for f in factors)
     position = grid.transpose([*factors, *exterior]).reshape(d_int, -1)
 
     reach = 2 * spec.e_max + 1  # |E_x - E_{x-1} - q_x| <= 2 e_max + 1
-    shifted = (divergence + reach).astype(np.int64)
-    code = np.ravel_multi_index(shifted.T, (2 * reach + 1,) * spec.sites)
-    return position, code[position]
+    shifted = (_config_table(spec).divergence[position[:, 0]] + reach).astype(np.int64)
+    return position, np.ravel_multi_index(shifted.T, (2 * reach + 1,) * spec.sites)
 
 
-def _kept_pairs(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interior pairs a < b joined at one or more exterior configurations.
+def _kept_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interior pairs a < b with equal constraint keys, ascending in (a, b).
 
-    Returns ``(a, b, keep)``: the pair indices, ascending in (a, b), and per pair
-    a mask over exterior configurations e at which (a, e) and (b, e) agree in
-    every constraint eigenvalue.  The matrix unit of the pair is the sum of
-    |(a, e)><(b, e)| over the kept e.  Each exterior column is sorted once,
-    stably, so equal codes form runs with a ascending; the pairs of a run are
-    its entries k = 1, 2, ... places apart, until no run is that long.
+    The matrix unit of a pair is the sum of |(a, e)><(b, e)| over every
+    exterior configuration e.  One stable sort puts equal keys into runs with
+    a ascending; the pairs of a run are its entries k = 1, 2, ... places
+    apart, until no run is that long, so each pair is found exactly once.
     """
-    d_int = code.shape[0]
-    order = np.argsort(code, axis=0, kind="stable")
-    ranked = np.take_along_axis(code, order, axis=0)
+    d_int = len(key)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
     ids = [np.empty(0, dtype=order.dtype)]
     for k in range(1, d_int):
         same = ranked[k:] == ranked[:-k]
         if not same.any():
             break
         ids.append(order[:-k][same] * d_int + order[k:][same])
-    ids = np.sort(np.concatenate(ids))  # deduplicated by hand: np.unique imports numpy.ma
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = ids[1:] != ids[:-1]
-    a, b = np.divmod(ids[first], d_int)
-    return a, b, code[a] == code[b]
+    return np.divmod(np.sort(np.concatenate(ids)), d_int)
 
 
-def _basis_elements(a, b, keep, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _basis_elements(a, b, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<x|O|y> for every operator O of the support basis, in order.
 
-    ``x`` and ``y`` are amplitudes gathered by ``position``; ``(a, b, keep)``
-    are the :func:`_kept_pairs`.  First the d_int projectors P_a (identity on
-    the exterior), then the normalized (U + U^dag) and i (U - U^dag) of each
-    pair, interleaved, U being the matrix unit of the pair on its kept exterior
-    configurations.  Every operator has unit Hilbert-Schmidt norm.  The supports
-    are pairwise disjoint, so the operators are orthonormal; sqrt(d_ext) times
-    the sum of the projectors is the identity.
+    ``x`` and ``y`` are amplitudes gathered by ``position``; ``(a, b)`` are the
+    :func:`_kept_pairs`.  First the d_int projectors P_a (identity on the
+    exterior), then the normalized (U + U^dag) and i (U - U^dag) of each pair,
+    interleaved, U being the matrix unit of the pair over all d_ext exterior
+    configurations.  Every operator has unit Hilbert-Schmidt norm.  The
+    supports are pairwise disjoint, so the operators are orthonormal;
+    sqrt(d_ext) times the sum of the projectors is the identity.
     """
-    projectors = np.sum(x.conj() * y, axis=1) / math.sqrt(x.shape[1])
-    fwd = np.einsum("pe,pe,pe->p", keep, x[a].conj(), y[b])  # <x|U|y>
-    back = np.einsum("pe,pe,pe->p", keep, x[b].conj(), y[a])  # <x|U^dag|y>
-    norm = np.sqrt(2.0 * keep.sum(axis=1))
-    pairs = np.column_stack([fwd + back, 1j * (fwd - back)]) / norm[:, None]
+    d_ext = x.shape[1]
+    projectors = np.sum(x.conj() * y, axis=1) / math.sqrt(d_ext)
+    fwd = np.einsum("pe,pe->p", x[a].conj(), y[b])  # <x|U|y>
+    back = np.einsum("pe,pe->p", x[b].conj(), y[a])  # <x|U^dag|y>
+    pairs = np.column_stack([fwd + back, 1j * (fwd - back)]) / math.sqrt(2.0 * d_ext)
     return np.concatenate([projectors, pairs.ravel()])
 
 
@@ -464,18 +456,19 @@ def _commutant_basis(spec: LatticeSpec, factors: list[int]) -> list[Operator]:
     """The operators of :func:`_basis_elements` as dense matrices, in the same order.
 
     First the d_int normalized projectors P_a, then (U + U^dag) and i (U - U^dag)
-    of each kept pair, normalized by the number of kept exterior configurations.
+    of each kept pair, normalized by sqrt(2 d_ext).
     """
     dim = _checked_flat_dim(spec, DENSE_OPERATOR_LIMIT, "dense")
-    position, code = _support_table(spec, factors)
+    position, key = _support_table(spec, factors)
+    d_ext = position.shape[1]
     ops = []
     for rows in position:
         entries = np.zeros((dim, dim), dtype=np.complex128)
-        entries[rows, rows] = 1.0 / math.sqrt(position.shape[1])
+        entries[rows, rows] = 1.0 / math.sqrt(d_ext)
         ops.append(Operator(spec.layout, entries))
-    for i, j, k in zip(*_kept_pairs(code)):
-        rows, cols = position[i, k], position[j, k]
-        scale = 1.0 / math.sqrt(2.0 * len(rows))
+    scale = 1.0 / math.sqrt(2.0 * d_ext)
+    for i, j in zip(*_kept_pairs(key)):
+        rows, cols = position[i], position[j]
         for phase in (1.0, 1j):
             entries = np.zeros((dim, dim), dtype=np.complex128)
             entries[rows, cols] = phase * scale
@@ -553,9 +546,9 @@ def superselection_report(
 
     # every site and link factor, the boundary link (the last factor) only on request
     factors = list(range(2 * spec.sites if include_boundary_link else 2 * spec.sites - 1))
-    position, code = _support_table(spec, factors)
+    position, key = _support_table(spec, factors)
     cross = _basis_elements(
-        *_kept_pairs(code), psi_plus.amplitudes[position], psi_minus.amplitudes[position]
+        *_kept_pairs(key), psi_plus.amplitudes[position], psi_minus.amplitudes[position]
     )
 
     return SuperselectionReport(

@@ -353,8 +353,16 @@ class TestExitCodes:
              2, "qdeco: error: expected comma-separated floats, got '0.6,x'"),
             (["dephasing", "--spins", "x", "--coupling", "1", "--t-max", "1", "--steps", "5"],
              2, "qdeco: error: expected an integer, got 'x'"),
+            (["tripartite", "--coeffs", "1e200,1e200", "--env-overlap", "0"],
+             1, "qdeco: validation error: correlated state has norm inf, expected 1; "
+                "adjust the coefficients for the given branch overlaps"),
+            (["tripartite", "--coeffs", "0.6,,0.8", "--env-overlap", "0"],
+             2, "qdeco: error: expected comma-separated floats, got '0.6,,0.8'"),
+            (["tripartite", "--coeffs", "0.6,0.8,", "--env-overlap", "0"],
+             2, "qdeco: error: expected comma-separated floats, got '0.6,0.8,'"),
         ],
-        ids=["coupling-count", "zero-steps", "float-list", "integer"],
+        ids=["coupling-count", "zero-steps", "float-list", "integer", "norm-overflow",
+             "empty-entry", "trailing-comma"],
     )
     def test_refusal_is_its_one_line(self, capsys, argv, code, line):
         assert run_capture(capsys, argv) == (code, "", line + "\n")

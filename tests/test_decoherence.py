@@ -177,6 +177,12 @@ class TestBuildCorrelatedState:
         with pytest.raises(NormalizationError, match="1.118"):
             build_correlated_state(spec)
 
+    def test_overflowing_norm_refused_without_a_warning(self):
+        # |c|^2 summed over the branches overflows; under filterwarnings = error
+        # a numpy overflow warning would surface here instead of the refusal
+        with pytest.raises(NormalizationError, match="norm inf, expected 1"):
+            build_correlated_state(equal_overlap_spec([1e200, 1e200], 0.0))
+
     def test_matches_kron_oracle(self):
         assert_matches_kron_oracle(*_random_branches())
 

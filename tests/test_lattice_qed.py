@@ -722,6 +722,15 @@ def dense_report(ops, plus, minus) -> tuple[float, float]:
     return cross, diff
 
 
+def divergence_labels(sites, e_max, left) -> np.ndarray:
+    """One label per configuration, equal exactly when the divergences agree."""
+    classes = {}  # divergence tuple -> class label, in order of first appearance
+    return np.array([
+        classes.setdefault(brute_gauss_eigenvalues(c, sites, left), len(classes))
+        for c in lattice_configurations(sites, e_max)
+    ])
+
+
 class TestSupportFormParity:
     """The support-table commutant and string map against dense brute-force oracles."""
 
@@ -778,44 +787,44 @@ class TestSupportFormParity:
 
     @pytest.mark.parametrize("sites,e_max", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
     def test_support_table_matches_enumeration(self, sites, e_max):
-        spec = LatticeSpec(sites=sites, e_max=e_max, left_field=1)
-        configs = lattice_configurations(sites, e_max)
-        table = np.array(configs)
-        classes = {}  # divergence tuple -> class label, in order of first appearance
-        labels = np.array([
-            classes.setdefault(brute_gauss_eigenvalues(c, sites, 1), len(classes))
-            for c in configs
-        ])
+        table = np.array(lattice_configurations(sites, e_max))
         ranges = [range(-1, 2)] * sites + [range(-e_max, e_max + 1)] * sites
-        for r in range(2 * sites + 1):
-            for factors in itertools.combinations(range(2 * sites), r):
-                exterior = [f for f in range(2 * sites) if f not in factors]
-                inner = np.array(list(itertools.product(*(ranges[f] for f in factors))))
-                outer = np.array(list(itertools.product(*(ranges[f] for f in exterior))))
-                position, code = _support_table(spec, list(factors))
-                assert position.shape == code.shape == (len(inner), len(outer))
-                # row a runs over the interior values, column e over the exterior ones
-                joined = table[position]
-                shape = position.shape
-                np.testing.assert_array_equal(
-                    joined[..., list(factors)], np.broadcast_to(inner[:, None], (*shape, r))
-                )
-                np.testing.assert_array_equal(
-                    joined[..., exterior], np.broadcast_to(outer[None], (*shape, len(exterior)))
-                )
-                # equal codes exactly when the divergences agree
-                pairs = set(zip(code.ravel().tolist(), labels[position].ravel().tolist()))
-                assert len(pairs) == len(set(code.ravel().tolist())) == len(classes)
+        for left in (1, 0, -e_max):
+            spec = LatticeSpec(sites=sites, e_max=e_max, left_field=left)
+            labels = divergence_labels(sites, e_max, left)
+            for r in range(2 * sites + 1):
+                for factors in itertools.combinations(range(2 * sites), r):
+                    exterior = [f for f in range(2 * sites) if f not in factors]
+                    inner = np.array(list(itertools.product(*(ranges[f] for f in factors))))
+                    outer = np.array(list(itertools.product(*(ranges[f] for f in exterior))))
+                    position, key = _support_table(spec, list(factors))
+                    assert position.shape == (len(inner), len(outer))
+                    assert key.shape == (len(inner),)
+                    # row a runs over the interior values, column e over the exterior ones
+                    joined = table[position]
+                    shape = position.shape
+                    np.testing.assert_array_equal(
+                        joined[..., list(factors)], np.broadcast_to(inner[:, None], (*shape, r))
+                    )
+                    np.testing.assert_array_equal(
+                        joined[..., exterior],
+                        np.broadcast_to(outer[None], (*shape, len(exterior))),
+                    )
+                    # in every exterior column, equal keys exactly when the divergences agree
+                    keys = key.tolist()
+                    for column in labels[position].T.tolist():
+                        pairs = set(zip(keys, column))
+                        assert len(pairs) == len(set(keys)) == len(set(column))
 
     @pytest.mark.parametrize("factors", [[0, 1, 2], [0, 2, 3], [1, 3]])
     def test_report_elements_match_dense_operators(self, factors):
         spec = LatticeSpec(sites=2, e_max=1, left_field=1)
-        position, code = _support_table(spec, factors)
+        position, key = _support_table(spec, factors)
         d_int = position.shape[0]
         rng = np.random.default_rng(len(factors))
         x, y = (rng.normal(size=spec.flat_dim) + 1j * rng.normal(size=spec.flat_dim)
                 for _ in range(2))
-        got = _basis_elements(*_kept_pairs(code), x[position], y[position])
+        got = _basis_elements(*_kept_pairs(key), x[position], y[position])
 
         expected = [np.vdot(x, op.entries @ y) for op in _commutant_basis(spec, factors)]
         assert len(got) == len(expected) > d_int
@@ -823,20 +832,27 @@ class TestSupportFormParity:
 
     @pytest.mark.parametrize("sites,e_max", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
     def test_kept_pairs_match_all_pair_comparison(self, sites, e_max):
-        spec = LatticeSpec(sites=sites, e_max=e_max, left_field=1)
-        for r in range(1, 2 * sites + 1):
-            for factors in itertools.combinations(range(2 * sites), r):
-                _, code = _support_table(spec, list(factors))
-                for got, want in zip(_kept_pairs(code), brute_kept_pairs(code), strict=True):
-                    np.testing.assert_array_equal(got, want, strict=True)
+        # the oracle compares every exterior column; a pair that agrees in one
+        # agrees in all, so its mask is all True and the key alone finds the pairs
+        for left in (1, 0, -e_max):
+            spec = LatticeSpec(sites=sites, e_max=e_max, left_field=left)
+            labels = divergence_labels(sites, e_max, left)
+            for r in range(1, 2 * sites + 1):
+                for factors in itertools.combinations(range(2 * sites), r):
+                    position, key = _support_table(spec, list(factors))
+                    a, b, keep = brute_kept_pairs(labels[position])
+                    assert keep.all()
+                    for got, want in zip(_kept_pairs(key), (a, b), strict=True):
+                        np.testing.assert_array_equal(got, want, strict=True)
 
     def test_support_with_no_kept_pair(self):
-        # (1,3,0) with the charge as the interior: at each field value every charge has its own code
-        _, code = _support_table(LatticeSpec(1, 3, 0), [0])
-        got = _kept_pairs(code)
-        assert got[2].shape == (0, 7)
-        for got_part, want in zip(got, brute_kept_pairs(code), strict=True):
-            np.testing.assert_array_equal(got_part, want, strict=True)
+        # (1,3,0) with the charge as the interior: at each field value every charge has its own key
+        position, key = _support_table(LatticeSpec(1, 3, 0), [0])
+        got = _kept_pairs(key)
+        assert got[0].shape == got[1].shape == (0,)
+        want = brute_kept_pairs(divergence_labels(1, 3, 0)[position])
+        for got_part, want_part in zip(got, want[:2], strict=True):
+            np.testing.assert_array_equal(got_part, want_part, strict=True)
 
     @pytest.mark.parametrize("sites,e_max", [(1, 1), (2, 1), (2, 2), (3, 1)])
     def test_wilson_map_matches_loop(self, sites, e_max):
