@@ -48,7 +48,6 @@ from pathlib import Path
 from . import __version__
 from ._numpy import np
 from .decoherence import (
-    ENTROPY_CHECK_TOL,
     MAX_BATH_SIZE,
     NORM_TOL,
     SpinBathModel,
@@ -69,7 +68,6 @@ from .field_decoherence import (
 )
 from .hilbert import coherence_norm, purity, von_neumann_entropy
 from .lattice_qed import (
-    CROSS_ELEMENT_TOL,
     GaugeFunction,
     LatticeSpec,
     boundary_decomposition_diagonals,
@@ -108,6 +106,15 @@ _DEPHASING_STEP_BYTES = 435
 _DEPHASING_REPORT_BYTES = 256 * 2**20
 _DEPHASING_STEP_BOUND = _DEPHASING_REPORT_BYTES // _DEPHASING_STEP_BYTES
 
+# A bath phase phi = t_max N max|g| is held to about its unit roundoff, 1.1e-16
+# phi, so at phi = 1e5 each cosine of the coherence is known to about 1e-11,
+# inside the report's own 1e-10 ``oracle_match``.  Without the bound, over 4000
+# random argvs (N 1-12, |g| 1e-2 to 3e2, t_max 1 to 1e5, 2-200 steps),
+# perfbench/checks.py passed all 2889 reports with phi <= 3e5 and rejected 325
+# above it, the first at phi = 4.7e5; with it, none of the 2586 admitted.  The
+# benchmark and pinned inputs reach phi <= 120.
+_DEPHASING_PHASE_BOUND = 1e5
+
 
 class UsageError(Exception):
     """Bad flags or config keys; maps to exit code 2."""
@@ -125,8 +132,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _format_number(x) -> str:
-    if isinstance(x, bool):
-        raise TypeError("booleans are not numbers here")
     if isinstance(x, numbers.Integral):
         return str(int(x))
     x = float(x)
@@ -171,8 +176,6 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, _Sweep):
         return _sweep_json(obj, indent)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         parts = [
             f"{inner}{json.dumps(str(k))}: {_to_json(obj[k], indent + 1)}"
             for k in sorted(obj, key=str)
@@ -183,15 +186,9 @@ def _to_json(obj, indent: int = 0) -> str:
             return "[]"
         parts = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, numbers.Real):
+    if isinstance(obj, numbers.Real) and not isinstance(obj, bool):
         return _format_number(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return json.dumps(obj)  # str, bool and None; a TypeError for any other type
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +346,14 @@ def _run_dephasing(v: dict):
             f"{v['steps']} steps x {_DEPHASING_STEP_BYTES} B exceeds the"
             f" {_DEPHASING_REPORT_BYTES >> 20} MiB report bound of {_DEPHASING_STEP_BOUND} steps"
         )
+    # formed as decoherence._check_phase_range forms it, so that a non-finite phase
+    # still gets the library's overflow line
+    phase = 2.0 * v["t_max"] * (n * (max(map(abs, v["coupling"])) / 2.0))
+    if math.isfinite(phase) and phase > _DEPHASING_PHASE_BOUND:
+        raise ValueError(
+            f"bath phase t_max N max|g| = {phase:.12g} exceeds {_DEPHASING_PHASE_BOUND:g};"
+            " double precision cannot resolve it to 1e-10"
+        )
     model = SpinBathModel(bath_size=n, couplings=np.array(v["coupling"]))
     times = np.linspace(0.0, v["t_max"], v["steps"])
     curve = spin_bath_evolve(model, times)
@@ -490,7 +495,7 @@ COMMANDS: dict[tuple[str, ...], dict] = {
             Param("--t-max", _float_value, help="final time"),
             Param("--steps", _int_value, help="number of time samples"),
         ],
-        "tolerances": {"oracle_match": 1e-10, "entropy_check": ENTROPY_CHECK_TOL},
+        "tolerances": {"oracle_match": 1e-10, "entropy_check": 1e-9},
         "run": _run_dephasing,
     },
     ("lattice", "superselect"): {
@@ -500,7 +505,7 @@ COMMANDS: dict[tuple[str, ...], dict] = {
             Param("--emax", _int_value),
             Param("--left-field", _int_value),
         ],
-        "tolerances": {"cross_element": CROSS_ELEMENT_TOL},
+        "tolerances": {"cross_element": 1e-12},
         "run": _run_lattice_superselect,
     },
     ("lattice", "identity-check"): {
@@ -565,8 +570,6 @@ def _render(key, values, outputs, sweep, fmt: str) -> str:
             if isinstance(val, dict):
                 for kk in sorted(val, key=str):
                     flat[f"{k}_{kk}"] = val[kk]
-            elif isinstance(val, bool):
-                flat[k] = int(val)
             else:
                 flat[k] = val
         return ",".join(flat) + "\n" + ",".join(map(_format_number, flat.values())) + "\n"

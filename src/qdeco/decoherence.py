@@ -48,7 +48,6 @@ _PHASE_BLOCK = 2**14  # (time, energy) entries per block of the bath phase table
 # about 2.6 s, the budget of the ``identity-check`` bound; the largest benchmark
 # input, K = 1024 (10 distinct couplings) x 1000 times, is 1.0e6 entries.
 _PHASE_ENTRY_BOUND = 150_000_000
-ENTROPY_CHECK_TOL = 1e-9
 
 
 def _check_consistent(states: list[StateVector], label: str) -> int:

@@ -104,9 +104,6 @@ class StateVector(namedtuple("StateVector", "layout amplitudes")):
             raise ValueError("states live in different dimensions")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def __repr__(self):
-        return f"StateVector(dims={self.layout.dims}, dim={self.dim})"
-
 
 class Operator(namedtuple("Operator", "layout entries")):
     """Square complex matrix on a tensor-factored space."""
@@ -121,13 +118,6 @@ class Operator(namedtuple("Operator", "layout entries")):
                 f"layout dimension {layout.flat_dim}"
             )
         return super().__new__(cls, layout, entries)
-
-    @property
-    def dim(self) -> int:
-        return self.layout.flat_dim
-
-    def __repr__(self):
-        return f"Operator(dims={self.layout.dims}, dim={self.dim})"
 
 
 def _check_hermitian(entries: np.ndarray) -> None:
@@ -215,9 +205,6 @@ class DensityMatrix(namedtuple("DensityMatrix", "layout block support spectrum")
     @property
     def dim(self) -> int:
         return self.layout.flat_dim
-
-    def __repr__(self):
-        return f"DensityMatrix(dims={self.layout.dims}, dim={self.dim})"
 
 
 def basis_state(dim: int, index: int) -> StateVector:

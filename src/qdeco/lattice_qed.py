@@ -71,7 +71,6 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 20000
-CROSS_ELEMENT_TOL = 1e-12
 _SUPPORT_TOL = 1e-12
 _TABLE_CACHE_SIZE = 4  # specs whose configuration tables are kept
 

@@ -15,8 +15,7 @@ import pytest
 import qdeco.cli as cli
 import qdeco.lattice_qed as lattice_qed
 from qdeco.cli import run
-from qdeco.decoherence import ENTROPY_CHECK_TOL, NORM_TOL
-from qdeco.lattice_qed import CROSS_ELEMENT_TOL
+from qdeco.decoherence import NORM_TOL
 
 from oracles import brute_force_gauss_kernel
 
@@ -360,9 +359,18 @@ class TestExitCodes:
              2, "qdeco: error: expected comma-separated floats, got '0.6,,0.8'"),
             (["tripartite", "--coeffs", "0.6,0.8,", "--env-overlap", "0"],
              2, "qdeco: error: expected comma-separated floats, got '0.6,0.8,'"),
+            # finite bath phases whose cosines double precision no longer pins to 1e-10
+            (["dephasing", "--spins", "12", "--coupling", "1e150", "--t-max", "1e150",
+              "--steps", "3"],
+             1, "qdeco: validation error: bath phase t_max N max|g| = 1.2e+301 exceeds 100000;"
+                " double precision cannot resolve it to 1e-10"),
+            (["dephasing", "--spins", "1", "--coupling", "-114.58988971867777",
+              "--t-max", "6985.304390072021", "--steps", "51"],
+             1, "qdeco: validation error: bath phase t_max N max|g| = 800445.25971 exceeds"
+                " 100000; double precision cannot resolve it to 1e-10"),
         ],
         ids=["coupling-count", "zero-steps", "float-list", "integer", "norm-overflow",
-             "empty-entry", "trailing-comma"],
+             "empty-entry", "trailing-comma", "phase-1e301", "phase-8e5"],
     )
     def test_refusal_is_its_one_line(self, capsys, argv, code, line):
         assert run_capture(capsys, argv) == (code, "", line + "\n")
@@ -663,8 +671,6 @@ class TestReports:
         "argv,name,constant",
         [
             (README_ARGVS[0], "state_norm", NORM_TOL),
-            (README_ARGVS[1][:-2], "entropy_check", ENTROPY_CHECK_TOL),
-            (README_ARGVS[2], "cross_element", CROSS_ELEMENT_TOL),
         ],
     )
     def test_tolerances_are_the_library_constants(self, capsys, argv, name, constant):
@@ -677,13 +683,18 @@ class TestReports:
         assert json.loads(out)["inputs"]["coupling"] == [1.0] * 8
 
     def test_scalar_csv_format(self, capsys):
-        code, out, _ = run_capture(
-            capsys, ["thermal", "length", "--time-s", "1", "--format", "csv"]
-        )
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "length_cm"
-        assert lines[1] == "0.1"
+        # a nested output, superselect's sectors, flattens to one column per key
+        cases = [
+            (["thermal", "length", "--time-s", "1"], ["length_cm", "0.1"]),
+            (["lattice", "superselect", "--sites", "2", "--emax", "1", "--left-field", "0"],
+             ["max_cross,max_expectation_diff,n_operators,physical_dim,sector_minus,"
+              "sector_plus,sectors_-1,sectors_0,sectors_1,wilson_contrast_cross",
+              "0,0,45,7,-1,1,2,3,2,0.816496580928"]),
+        ]
+        for argv, lines in cases:
+            code, out, _ = run_capture(capsys, [*argv, "--format", "csv"])
+            assert code == 0
+            assert out.split("\n") == [*lines, ""]
 
 
 class TestDeterminism:
@@ -739,7 +750,7 @@ class TestDeterminism:
 class TestConfigFile:
     def test_values_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("time_s = 1\nlambda_cm2s = 100  # default rate\n")
+        cfg.write_text("# thermal length\n\ntime_s = 1\nlambda_cm2s = 100  # default rate\n")
         code, out, _ = run_capture(capsys, ["thermal", "length", "--config", str(cfg)])
         assert code == 0
         assert json.loads(out)["outputs"]["length_cm"] == 0.1

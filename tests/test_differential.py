@@ -59,7 +59,7 @@ def _dephasing(draw):
     coupling = st.floats(-3.0, 3.0)
     couplings = draw(st.one_of(st.lists(coupling, min_size=1, max_size=1),
                                st.lists(coupling, min_size=spins, max_size=spins)))
-    t_max = draw(st.floats(0.0, 20.0))
+    t_max = draw(st.one_of(st.floats(0.0, 20.0), _log_uniform(3.0, 7.0)))
     # up to 400 steps, or over the 617 093-step report bound
     steps = draw(st.one_of(st.integers(1, 400), st.integers(617_094, 10**9)))
     argv = ["dephasing", "--spins", str(spins), "--coupling", ",".join(map(repr, couplings)),

@@ -10,7 +10,6 @@ import pytest
 from qdeco.cli import run
 from qdeco.hilbert import StateVector, basis_state
 from qdeco.lattice_qed import (
-    CROSS_ELEMENT_TOL,
     ENUMERATION_LIMIT,
     GaugeFunction,
     LatticeSpec,
@@ -580,7 +579,7 @@ class TestSuperselectionReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.max_cross <= CROSS_ELEMENT_TOL
+        assert report.max_cross <= 1e-12
         assert peak < 4 * 2**20
 
 
