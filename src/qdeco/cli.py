@@ -68,6 +68,7 @@ from .field_decoherence import (
 )
 from .hilbert import coherence_norm, purity, von_neumann_entropy
 from .lattice_qed import (
+    ENUMERATION_LIMIT,
     GaugeFunction,
     LatticeSpec,
     boundary_decomposition_diagonals,
@@ -270,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict[str, str]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -346,7 +347,7 @@ def _run_dephasing(v: dict):
             f"{v['steps']} steps x {_DEPHASING_STEP_BYTES} B exceeds the"
             f" {_DEPHASING_REPORT_BYTES >> 20} MiB report bound of {_DEPHASING_STEP_BOUND} steps"
         )
-    # formed as decoherence._check_phase_range forms it, so that a non-finite phase
+    # formed as decoherence._checked_times forms it, so that a non-finite phase
     # still gets the library's overflow line
     phase = 2.0 * v["t_max"] * (n * (max(map(abs, v["coupling"])) / 2.0))
     if math.isfinite(phase) and phase > _DEPHASING_PHASE_BOUND:
@@ -399,10 +400,9 @@ def _run_lattice_identity(v: dict):
         raise ValueError("trials must be >= 1")
     if v["seed"] < 0:
         raise ValueError("seed must be >= 0")
-    dim = spec.flat_dim_or_power(_IDENTITY_ENTRY_BOUND)
-    if isinstance(dim, str) or (
-        v["trials"] * (dim + _IDENTITY_TRIAL_ENTRIES) > _IDENTITY_ENTRY_BOUND
-    ):
+    # superselect's refusal, here before the trial charge and before any table
+    dim = spec.checked_flat_dim(ENUMERATION_LIMIT, "enumeration")
+    if v["trials"] * (dim + _IDENTITY_TRIAL_ENTRIES) > _IDENTITY_ENTRY_BOUND:
         raise ValueError(
             f"{v['trials']} trials x (flat dimension {dim} + {_IDENTITY_TRIAL_ENTRIES})"
             f" exceeds bound {_IDENTITY_ENTRY_BOUND}"

@@ -247,15 +247,19 @@ class DephasingCurve(namedtuple("DephasingCurve", "times coherence entropy")):
         return super().__new__(cls, t, c, s)
 
 
-def _check_phase_range(model: SpinBathModel, t_arr: np.ndarray):
-    """Refuse times at which a bath phase would overflow double precision.
+def _checked_times(model: SpinBathModel, t) -> np.ndarray:
+    """``t`` as float64, refused if negative or if a bath phase would overflow.
 
     Every bath energy is at most E_max = N max|g| / 2 in size, so every phase
     (2 E_j t, or g_k t in the closed form) is finite when 2 t_max E_max is.
     """
+    t_arr = np.asarray(t, dtype=np.float64)
+    if np.any(t_arr < 0):
+        raise ValueError("times must be nonnegative")
     e_max = model.bath_size * (float(np.max(np.abs(model.couplings))) / 2.0)
     if not math.isfinite(2.0 * float(np.max(t_arr, initial=0.0)) * e_max):
         raise ValueError("bath phase overflows: t_max N max|g| is not finite")
+    return t_arr
 
 
 def spin_bath_coherence(model: SpinBathModel, t):
@@ -264,10 +268,7 @@ def spin_bath_coherence(model: SpinBathModel, t):
     A scalar time gives a ``float``; an array of times gives an array of the
     same shape.
     """
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0):
-        raise ValueError("time must be nonnegative")
-    _check_phase_range(model, t_arr)
+    t_arr = _checked_times(model, t)
     r = np.prod(np.abs(np.cos(np.multiply.outer(t_arr, model.couplings))), axis=-1)
     return float(r) if t_arr.ndim == 0 else r
 
@@ -318,10 +319,7 @@ def spin_bath_evolve(model: SpinBathModel, times) -> DephasingCurve:
         raise ValueError(
             f"bath_size {model.bath_size} exceeds the 2^N bath-energy table bound {MAX_BATH_SIZE}"
         )
-    t_arr = np.asarray(times, dtype=np.float64).ravel()
-    if np.any(t_arr < 0):
-        raise ValueError("times must be nonnegative")
-    _check_phase_range(model, t_arr)
+    t_arr = _checked_times(model, times).ravel()
 
     overlap = _bath_overlap(model, t_arr)
     rho = np.full((len(t_arr), 2, 2), 0.5, dtype=np.complex128)

@@ -78,7 +78,11 @@ FactorLabel = tuple[str, int]
 
 
 class LatticeSpec(namedtuple("LatticeSpec", "sites e_max left_field")):
-    """Model definition: N sites, field truncation, fixed left boundary field."""
+    """Model definition: N sites, field truncation, fixed left boundary field.
+
+    Whatever enumerates the configurations or builds dense operators first
+    admits the flat dimension through :meth:`checked_flat_dim`.
+    """
 
     __slots__ = ()
 
@@ -101,16 +105,21 @@ class LatticeSpec(namedtuple("LatticeSpec", "sites e_max left_field")):
     def flat_dim(self) -> int:
         return 3**self.sites * self.link_dim**self.sites
 
-    def flat_dim_or_power(self, bound: int) -> int | str:
-        """``flat_dim``, or the text ``(3(2e+1))^N`` when it exceeds 2.718 x ``bound``.
+    def checked_flat_dim(self, bound: int, name: str) -> int:
+        """``flat_dim``, or a refusal that names the ``name`` bound it exceeds.
 
-        The exact integer has N log10(3(2e+1)) digits, so far over a bound,
-        tested as N ln(3(2e+1)) > ln(bound) + 1, it is neither formed nor
-        printed: a refusal then costs microseconds at any N.
+        The exact integer has N log10(3(2e+1)) digits, so far over the bound,
+        tested as N ln(3(2e+1)) > ln(bound) + 1, the refusal names the power
+        ``(3(2e+1))^N`` instead: it is neither formed nor printed, and a
+        refusal costs microseconds at any N.
         """
         if self.sites * math.log(3 * self.link_dim) > math.log(bound) + 1:
-            return f"{3 * self.link_dim}^{self.sites}"
-        return self.flat_dim
+            dim = f"{3 * self.link_dim}^{self.sites}"
+        elif self.flat_dim <= bound:
+            return self.flat_dim
+        else:
+            dim = self.flat_dim
+        raise ValueError(f"flat dimension {dim} exceeds {name} bound {bound}")
 
     @property
     def layout(self) -> TensorLayout:
@@ -149,24 +158,17 @@ class _ConfigTable(namedtuple("_ConfigTable", "charges fields divergence")):
     __slots__ = ()
 
 
-def _checked_flat_dim(spec: LatticeSpec, bound: int, name: str) -> int:
-    """``spec.flat_dim``, or a refusal that names the bound it exceeds."""
-    dim = spec.flat_dim_or_power(bound)
-    if isinstance(dim, str) or dim > bound:
-        raise ValueError(f"flat dimension {dim} exceeds {name} bound {bound}")
-    return dim
-
-
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _config_table(spec: LatticeSpec) -> _ConfigTable:
     """The configuration table of a spec, enumerated on the first call only.
 
-    Specs beyond ``ENUMERATION_LIMIT`` are refused on every call, since
+    Specs beyond ``ENUMERATION_LIMIT`` are refused by
+    :meth:`LatticeSpec.checked_flat_dim` on every call, since
     ``lru_cache`` stores no exception: a refusal is never cached.  The bound
     allows at most N = 4 sites, so one table takes at most 20 000 x 4 x 3 x 8 B,
     about 1.9 MB.
     """
-    _checked_flat_dim(spec, ENUMERATION_LIMIT, "enumeration")
+    spec.checked_flat_dim(ENUMERATION_LIMIT, "enumeration")
     n = spec.sites
     idx = np.unravel_index(np.arange(spec.flat_dim), spec.layout.dims)
     charges = np.stack([idx[x] - 1 for x in range(n)], axis=1).astype(np.float64)
@@ -336,8 +338,7 @@ def wilson_line(spec: LatticeSpec, x: int) -> Operator:
     truncation edge are annihilated.  :func:`string_contrast` applies the same
     string to amplitudes as an index map, without the dense matrix.
     """
-    spec._check_site(x)
-    dim = _checked_flat_dim(spec, DENSE_OPERATOR_LIMIT, "dense")
+    dim = spec.checked_flat_dim(DENSE_OPERATOR_LIMIT, "dense")
     src, dst = _wilson_map(spec, x)
     entries = np.zeros((dim, dim), dtype=np.complex128)
     entries[dst, src] = 1.0
@@ -457,7 +458,7 @@ def _commutant_basis(spec: LatticeSpec, factors: list[int]) -> list[Operator]:
     First the d_int normalized projectors P_a, then (U + U^dag) and i (U - U^dag)
     of each kept pair, normalized by sqrt(2 d_ext).
     """
-    dim = _checked_flat_dim(spec, DENSE_OPERATOR_LIMIT, "dense")
+    dim = spec.checked_flat_dim(DENSE_OPERATOR_LIMIT, "dense")
     position, key = _support_table(spec, factors)
     d_ext = position.shape[1]
     ops = []

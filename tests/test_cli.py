@@ -316,11 +316,11 @@ class TestExitCodes:
              "flat dimension 9^1000000000 exceeds enumeration bound 20000"),
             (["lattice", "identity-check", "--sites", "1000000000", "--emax", "1",
               "--seed", "1"],
-             "50 trials x (flat dimension 9^1000000000 + 2500) exceeds bound 150000000"),
+             "flat dimension 9^1000000000 exceeds enumeration bound 20000"),
             (["lattice", "superselect", "--sites", "60", "--emax", "1", "--left-field", "0"],
              "flat dimension 9^60 exceeds enumeration bound 20000"),
             (["lattice", "identity-check", "--sites", "1000", "--emax", "1", "--seed", "1"],
-             "50 trials x (flat dimension 9^1000 + 2500) exceeds bound 150000000"),
+             "flat dimension 9^1000 exceeds enumeration bound 20000"),
         ],
         ids=["superselect-1e9", "identity-1e9", "superselect-60", "identity-1000"],
     )
@@ -334,6 +334,28 @@ class TestExitCodes:
         assert err == f"qdeco: validation error: {message}\n"
         assert len(err) <= 121  # one line of at most 120 characters
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "sites,emax,dim",
+        [(5, 1, "9^5"), (4, 2, "50625"), (7, 1, "9^7"), (60, 1, "9^60"),
+         (1000, 1, "9^1000"), (10**9, 1, "9^1000000000")],
+    )
+    def test_both_lattice_commands_refuse_an_oversized_lattice_alike(
+        self, capsys, monkeypatch, sites, emax, dim
+    ):
+        line = f"qdeco: validation error: flat dimension {dim} exceeds enumeration bound 20000\n"
+        spec = ["--sites", str(sites), "--emax", str(emax)]
+        code, out, err = run_capture(
+            capsys, ["lattice", "superselect", *spec, "--left-field", "0"])
+        assert (code, out, err) == (1, "", line)
+
+        def enumerate_spec(spec):
+            raise AssertionError("enumerated a refused spec")
+
+        # identity-check refuses before it asks for a configuration table
+        monkeypatch.setattr(lattice_qed, "_config_table", enumerate_spec)
+        code, out, err = run_capture(capsys, ["lattice", "identity-check", *spec, "--seed", "1"])
+        assert (code, out, err) == (1, "", line)
 
     def test_dephasing_spins_below_one_refused(self, capsys):
         argv = ["dephasing", "--spins", "-5", "--coupling", "1", "--t-max", "1", "--steps", "3"]
@@ -450,17 +472,24 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert json.loads(out)["outputs"]["final_coherence"] == 1
 
-    def test_dephasing_over_the_phase_table_bound_refused_at_once(self, capsys):
+    @pytest.mark.parametrize("couplings,steps,energies", [
         # 1427 distinct bath energies x 475 107 times ran for about 12 s unbounded
-        couplings = "0.11,0.23,0.31,0.43,0.57,0.61,0.73,0.89,0.97,1.03,1.19,1.31"
+        ("0.11,0.23,0.31,0.43,0.57,0.61,0.73,0.89,0.97,1.03,1.19,1.31", 475107, 1427),
+        # no two signed sums equal: 2^12 energies, admitted up to 36 621 steps
+        ("0.239188,0.386424,0.505545,0.710262,0.983419,1.142917,1.343306,1.518467,"
+         "1.790003,1.975218,0.61,1.23", 36622, 4096),
+    ], ids=["two-decimal", "generic"])
+    def test_dephasing_over_the_phase_table_bound_refused_at_once(
+        self, capsys, couplings, steps, energies
+    ):
         argv = ["dephasing", "--spins", "12", "--coupling", couplings, "--t-max", "6",
-                "--steps", "475107"]
+                "--steps", str(steps)]
         start = time.perf_counter()
         code, out, err = run_capture(capsys, argv)
         elapsed = time.perf_counter() - start
         assert (code, out) == (1, "")
         assert err == (
-            "qdeco: validation error: 1427 distinct bath energies x 475107 times"
+            f"qdeco: validation error: {energies} distinct bath energies x {steps} times"
             " exceeds bound 150000000\n"
         )
         assert elapsed < 1.0
@@ -776,6 +805,18 @@ class TestConfigFile:
             capsys, ["thermal", "length", "--config", str(tmp_path / "nope.cfg")]
         )
         assert code == 2
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, capsys, tmp_path):
+        # Windows editors may begin a UTF-8 file with the mark EF BB BF
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfsites = 2\nemax = 1\nleft_field = 0\n")
+        argv = ["lattice", "superselect", "--sites", "2", "--emax", "1", "--left-field", "0"]
+        code, from_flags, _ = run_capture(capsys, argv)
+        assert code == 0
+        code, from_config, err = run_capture(
+            capsys, ["lattice", "superselect", "--config", str(cfg)])
+        assert (code, err) == (0, "")
+        assert from_config == from_flags
 
     def test_undecodable_config_refused_in_one_line(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -526,9 +526,9 @@ class TestSpinBathCoherence:
 
     def test_negative_time_rejected(self):
         model = SpinBathModel(bath_size=1, couplings=np.array([1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^times must be nonnegative$"):
             spin_bath_coherence(model, -0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^times must be nonnegative$"):
             spin_bath_coherence(model, np.array([0.0, 1.0, -0.1]))
 
     def test_array_of_times_matches_scalar_calls(self):

@@ -365,6 +365,11 @@ class TestWilsonLine:
         # [Q, W] = W on the non-clipped subspace (clipped columns are zero anyway)
         assert np.max(np.abs(q @ w - w @ q - w)) <= 1e-12
 
+    @pytest.mark.parametrize("x", [0, 3])
+    def test_site_out_of_range(self, x):
+        with pytest.raises(ValueError, match=rf"^site/link index {x} out of range 1\.\.2$"):
+            wilson_line(LatticeSpec(sites=2, e_max=1), x)
+
     def test_cross_sector_matrix_element(self):
         spec = LatticeSpec(sites=2, e_max=1)
         sub = physical_subspace(spec)
@@ -913,8 +918,16 @@ class TestConfigTable:
         ],
     )
     def test_flat_dim_or_power(self, sites, e_max, bound, expected):
-        got = LatticeSpec(sites=sites, e_max=e_max).flat_dim_or_power(bound)
-        assert (type(got), got) == (type(expected), expected)
+        # the refusal names the exact flat dimension, or its power when far over
+        spec = LatticeSpec(sites=sites, e_max=e_max)
+        line = f"flat dimension {expected} exceeds test bound {bound}"
+        with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+            spec.checked_flat_dim(bound, "test")
+
+    @pytest.mark.parametrize("sites,e_max,bound", [(4, 1, 6561), (4, 2, 50625), (1, 1, 9)])
+    def test_checked_flat_dim_admits_up_to_the_bound(self, sites, e_max, bound):
+        got = LatticeSpec(sites=sites, e_max=e_max).checked_flat_dim(bound, "test")
+        assert (type(got), got) == (int, bound)
 
     def test_oversized_spec_refused_at_once(self):
         spec = LatticeSpec(sites=10**9, e_max=1)
