@@ -102,7 +102,7 @@ _IDENTITY_ENTRY_BOUND = 150_000_000
 # 2-vCPU x86_64 with Python 3.11 and numpy 2.4.  The rows and the rendered
 # sweep set the peak, not the evolution.  A report budget of 256 MiB bounds
 # --steps at 617 093, far above the benchmark's 2000; there the JSON command
-# peaked at 259 MiB in 2.1-2.3 s and the CSV one at 211 MiB.
+# peaked at 268 MiB in 1.4 s and the CSV one at 216 MiB in 1.0-1.1 s.
 _DEPHASING_STEP_BYTES = 435
 _DEPHASING_REPORT_BYTES = 256 * 2**20
 _DEPHASING_STEP_BOUND = _DEPHASING_REPORT_BYTES // _DEPHASING_STEP_BYTES

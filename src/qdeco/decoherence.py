@@ -248,12 +248,14 @@ class DephasingCurve(namedtuple("DephasingCurve", "times coherence entropy")):
 
 
 def _checked_times(model: SpinBathModel, t) -> np.ndarray:
-    """``t`` as float64, refused if negative or if a bath phase would overflow.
+    """``t`` as float64, refused if not finite, if negative or if a bath phase would overflow.
 
     Every bath energy is at most E_max = N max|g| / 2 in size, so every phase
     (2 E_j t, or g_k t in the closed form) is finite when 2 t_max E_max is.
     """
     t_arr = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t_arr)):
+        raise ValueError("times must be finite")
     if np.any(t_arr < 0):
         raise ValueError("times must be nonnegative")
     e_max = model.bath_size * (float(np.max(np.abs(model.couplings))) / 2.0)

@@ -23,14 +23,15 @@ E_x - E_{x-1} - q_x is linear and each of its variables is an interior or an
 exterior factor (E_0, the left field, is a constant), so it is a sum of an
 interior and an exterior term: a and b agree at one e exactly when they agree
 at every e.  One key per interior configuration, its packed divergences at the
-first exterior configuration, therefore decides every pair.  The units
-U = sum_e |(a, e)><(b, e)| of the pairs have pairwise disjoint supports, so one
-orthonormal basis of the commutant is the normalized projectors P_a, first,
-followed by the Hermitized U of each pair a < b with equal keys; no
-orthonormalization is needed.  The pairs come from one stable sort of the
-keys, which puts equal keys next to each other.  The superselection report
-evaluates that basis on index tables, and the dense basis lists the same
-operators in the same order.  The string operator is an index map, so
+first exterior configuration, therefore decides every pair, and
+``_support_table`` is the one place that finds the pairs: it returns the index
+table together with every a < b of equal keys, from one stable sort of the
+keys.  The units U = sum_e |(a, e)><(b, e)| of the pairs have pairwise
+disjoint supports, so one orthonormal basis of the commutant is the normalized
+projectors P_a, first, followed by the Hermitized U of each pair; no
+orthonormalization is needed.  The superselection report evaluates that basis
+on index tables, and the dense basis lists the same operators in the same
+order, each written by one scatter.  The string operator is an index map, so
 neither the report nor the string builds a flat_dim x flat_dim matrix.
 
 Every index map is a view of one index grid, the flat indices reshaped to the
@@ -173,10 +174,8 @@ def _config_table(spec: LatticeSpec) -> _ConfigTable:
     idx = np.unravel_index(np.arange(spec.flat_dim), spec.layout.dims)
     charges = np.stack([idx[x] - 1 for x in range(n)], axis=1).astype(np.float64)
     fields = np.stack([idx[n + x] - spec.e_max for x in range(n)], axis=1).astype(np.float64)
-    left = np.concatenate(
-        [np.full((spec.flat_dim, 1), spec.left_field), fields[:, :-1]], axis=1
-    )
-    table = _ConfigTable(charges, fields, fields - left - charges)
+    divergence = np.diff(fields, axis=1, prepend=spec.left_field) - charges
+    table = _ConfigTable(charges, fields, divergence)
     for array in table:
         array.flags.writeable = False
     return table
@@ -392,16 +391,19 @@ def _interior_factors(spec: LatticeSpec, interior: Collection[FactorLabel]) -> l
     return sorted(set(factors))
 
 
-def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices split by the given support, and one constraint key per interior row.
+def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, ...]:
+    """Flat indices split by the given support, and the interior pairs the constraints keep.
 
-    Returns ``position``, of shape (d_int, d_ext), and ``key``, of shape
-    (d_int,): ``position[a, e]`` is the flat index of interior configuration a
-    (over the given factors) joined to exterior configuration e (over the
-    others), and ``key[a]`` packs the N divergence eigenvalues of (a, 0) into
-    one integer.  Each divergence is a sum of an interior and an exterior term,
-    so (a, e) and (b, e) agree in every constraint, at any one e, exactly when
-    ``key[a] == key[b]``.
+    Returns ``position``, of shape (d_int, d_ext), and the pairs ``(a, b)``:
+    ``position[a, e]`` is the flat index of interior configuration a (over the
+    given factors) joined to exterior configuration e (over the others), and
+    the pairs are every a < b, ascending in (a, b), whose (a, e) and (b, e)
+    agree in every constraint.  Each divergence is a sum of an interior and an
+    exterior term, so they agree at one e exactly when they agree at every e,
+    and one key per interior row, its N divergences at e = 0 packed into one
+    integer, decides every pair.  One stable sort puts equal keys into runs
+    with a ascending; the pairs of a run are its entries k = 1, 2, ... places
+    apart, until no run is that long, so each pair is found exactly once.
     """
     grid = _index_grid(spec)
     exterior = [f for f in range(grid.ndim) if f not in factors]
@@ -410,18 +412,7 @@ def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, n
 
     reach = 2 * spec.e_max + 1  # |E_x - E_{x-1} - q_x| <= 2 e_max + 1
     shifted = (_config_table(spec).divergence[position[:, 0]] + reach).astype(np.int64)
-    return position, np.ravel_multi_index(shifted.T, (2 * reach + 1,) * spec.sites)
-
-
-def _kept_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interior pairs a < b with equal constraint keys, ascending in (a, b).
-
-    The matrix unit of a pair is the sum of |(a, e)><(b, e)| over every
-    exterior configuration e.  One stable sort puts equal keys into runs with
-    a ascending; the pairs of a run are its entries k = 1, 2, ... places
-    apart, until no run is that long, so each pair is found exactly once.
-    """
-    d_int = len(key)
+    key = np.ravel_multi_index(shifted.T, (2 * reach + 1,) * spec.sites)
     order = np.argsort(key, kind="stable")
     ranked = key[order]
     ids = [np.empty(0, dtype=order.dtype)]
@@ -430,19 +421,20 @@ def _kept_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not same.any():
             break
         ids.append(order[:-k][same] * d_int + order[k:][same])
-    return np.divmod(np.sort(np.concatenate(ids)), d_int)
+    return (position, *np.divmod(np.sort(np.concatenate(ids)), d_int))
 
 
 def _basis_elements(a, b, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<x|O|y> for every operator O of the support basis, in order.
 
-    ``x`` and ``y`` are amplitudes gathered by ``position``; ``(a, b)`` are the
-    :func:`_kept_pairs`.  First the d_int projectors P_a (identity on the
-    exterior), then the normalized (U + U^dag) and i (U - U^dag) of each pair,
-    interleaved, U being the matrix unit of the pair over all d_ext exterior
-    configurations.  Every operator has unit Hilbert-Schmidt norm.  The
-    supports are pairwise disjoint, so the operators are orthonormal;
-    sqrt(d_ext) times the sum of the projectors is the identity.
+    ``x`` and ``y`` are amplitudes gathered by ``position``, and ``(a, b)`` are
+    the kept pairs, both from :func:`_support_table`.  First the d_int
+    projectors P_a (identity on the exterior), then the normalized (U + U^dag)
+    and i (U - U^dag) of each pair, interleaved, U being the matrix unit of the
+    pair over all d_ext exterior configurations.  Every operator has unit
+    Hilbert-Schmidt norm.  The supports are pairwise disjoint, so the
+    operators are orthonormal; sqrt(d_ext) times the sum of the projectors is
+    the identity.
     """
     d_ext = x.shape[1]
     projectors = np.sum(x.conj() * y, axis=1) / math.sqrt(d_ext)
@@ -455,25 +447,23 @@ def _basis_elements(a, b, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _commutant_basis(spec: LatticeSpec, factors: list[int]) -> list[Operator]:
     """The operators of :func:`_basis_elements` as dense matrices, in the same order.
 
-    First the d_int normalized projectors P_a, then (U + U^dag) and i (U - U^dag)
-    of each kept pair, normalized by sqrt(2 d_ext).
+    Each is v U + conj(v) U^dag for a unit U = sum over ``rows``, ``cols`` of
+    |row><col|, written by assignment: first the d_int projectors P_a
+    (rows == cols, v = 1/sqrt(d_ext), written once), then the units of each
+    kept pair with v = 1 and v = i, both over sqrt(2 d_ext).
     """
     dim = spec.checked_flat_dim(DENSE_OPERATOR_LIMIT, "dense")
-    position, key = _support_table(spec, factors)
+    position, a, b = _support_table(spec, factors)
     d_ext = position.shape[1]
-    ops = []
-    for rows in position:
-        entries = np.zeros((dim, dim), dtype=np.complex128)
-        entries[rows, rows] = 1.0 / math.sqrt(d_ext)
-        ops.append(Operator(spec.layout, entries))
     scale = 1.0 / math.sqrt(2.0 * d_ext)
-    for i, j in zip(*_kept_pairs(key)):
-        rows, cols = position[i], position[j]
-        for phase in (1.0, 1j):
-            entries = np.zeros((dim, dim), dtype=np.complex128)
-            entries[rows, cols] = phase * scale
-            entries[cols, rows] = np.conj(phase) * scale
-            ops.append(Operator(spec.layout, entries))
+    units = [(rows, rows, 1.0 / math.sqrt(d_ext)) for rows in position]
+    units += [(position[i], position[j], v) for i, j in zip(a, b) for v in (scale, 1j * scale)]
+    ops = []
+    for rows, cols, value in units:
+        entries = np.zeros((dim, dim), dtype=np.complex128)
+        entries[rows, cols] = value
+        entries[cols, rows] = np.conj(value)
+        ops.append(Operator(spec.layout, entries))
     return ops
 
 
@@ -546,10 +536,8 @@ def superselection_report(
 
     # every site and link factor, the boundary link (the last factor) only on request
     factors = list(range(2 * spec.sites if include_boundary_link else 2 * spec.sites - 1))
-    position, key = _support_table(spec, factors)
-    cross = _basis_elements(
-        *_kept_pairs(key), psi_plus.amplitudes[position], psi_minus.amplitudes[position]
-    )
+    position, a, b = _support_table(spec, factors)
+    cross = _basis_elements(a, b, psi_plus.amplitudes[position], psi_minus.amplitudes[position])
 
     return SuperselectionReport(
         physical_dim=subspace.dim,

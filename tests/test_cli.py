@@ -16,8 +16,11 @@ import qdeco.cli as cli
 import qdeco.lattice_qed as lattice_qed
 from qdeco.cli import run
 from qdeco.decoherence import NORM_TOL
+from qdeco.hilbert import DENSE_OPERATOR_LIMIT
+from qdeco.lattice_qed import ENUMERATION_LIMIT
 
-from oracles import brute_force_gauss_kernel
+from frontier import MAX_BRANCHES, lattice_shapes, superselect, tripartite
+from oracles import brute_force_gauss_kernel, brute_operator_count
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -217,6 +220,18 @@ class TestExitCodes:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "out of memory" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_scalar_output_is_refused(self, capsys, monkeypatch, fmt):
+        # no runner returns a non-finite scalar today; the renderer refuses one anyway
+        def non_finite(values):
+            return {"length_cm": math.nan}, None
+
+        monkeypatch.setitem(cli.COMMANDS[("thermal", "length")], "run", non_finite)
+        argv = ["thermal", "length", "--time-s", "1", "--format", fmt]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "qdeco: validation error: refusing to serialize non-finite value nan\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -655,16 +670,16 @@ class TestReports:
         report = json.loads(out)
         assert report["outputs"]["coherence_norm"] == pytest.approx(0.2, abs=1e-12)
 
-    @pytest.mark.parametrize("n,code", [(45, 0), (46, 1)])
+    @pytest.mark.parametrize("n,code", [(MAX_BRANCHES, 0), (MAX_BRANCHES + 1, 1)])
     def test_tripartite_reduced_state_bound(self, capsys, n, code):
         # n branches give a (system, apparatus) dimension of n^2; the bound is 2048
-        coeffs = ",".join([repr(n**-0.5)] * n)
-        got, out, err = run_capture(capsys, ["tripartite", "--coeffs", coeffs, "--env-overlap", "0.3"])
+        got, out, err = run_capture(capsys, tripartite(n))
         assert got == code
         if code:
             assert out == ""
             assert err == (
-                "qdeco: validation error: reduced state dimension 2116 exceeds dense bound 2048\n"
+                f"qdeco: validation error: reduced state dimension {n * n}"
+                f" exceeds dense bound {DENSE_OPERATOR_LIMIT}\n"
             )
         else:
             assert err == ""
@@ -866,3 +881,32 @@ class TestTripartiteEdgeCases:
         code = run(["tripartite", "--coeffs", "0.5,0.5,0.5,0.5", "--env-overlap", "-0.9"])
         capsys.readouterr()
         assert code == 1
+
+
+class TestFrontier:
+    """The largest admitted lattice of every shape finishes; one step past each is refused.
+
+    ``TestReports.test_tripartite_reduced_state_bound`` does the same for
+    ``tripartite``.
+    """
+
+    @pytest.mark.parametrize("sites,e_max", lattice_shapes())
+    def test_superselect_at_the_enumeration_frontier(self, capsys, sites, e_max):
+        code, out, err = run_capture(capsys, superselect(sites, e_max))
+        assert (code, err) == (0, "")
+        outputs = json.loads(out)["outputs"]
+        assert outputs["n_operators"] == brute_operator_count(sites, e_max, 0)
+        assert outputs["max_cross"] <= 1e-12
+
+        past = (3 * (2 * e_max + 3)) ** sites  # the flat dimension at e_max + 1
+        line = f"flat dimension {past} exceeds enumeration bound {ENUMERATION_LIMIT}"
+        assert run_capture(capsys, superselect(sites, e_max + 1)) == (
+            1, "", f"qdeco: validation error: {line}\n"
+        )
+
+    def test_superselect_refuses_every_field_one_site_past_the_frontier(self, capsys):
+        sites = len(lattice_shapes()) + 1
+        line = f"flat dimension 9^{sites} exceeds enumeration bound {ENUMERATION_LIMIT}"
+        assert run_capture(capsys, superselect(sites, 1)) == (
+            1, "", f"qdeco: validation error: {line}\n"
+        )

@@ -819,6 +819,15 @@ class TestPhaseRange:
             with pytest.raises(ValueError, match="bath phase overflows"):
                 compute(model, np.array([0.0, t_max]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_are_refused_as_such(self, bad):
+        # NaN < 0 is false, so a NaN time must not reach the sign or phase tests
+        model = SpinBathModel(bath_size=1, couplings=np.array([1.0]))
+        for compute in (spin_bath_evolve, spin_bath_coherence):
+            for t in (bad, np.array([0.0, bad, 1.0])):
+                with pytest.raises(ValueError, match=r"^times must be finite$"):
+                    compute(model, t)
+
     @pytest.mark.parametrize("couplings,t_max", [([1e150, 1e150], 1e150), ([1e308] * 3, 1e-300)])
     def test_finite_phases_are_accepted(self, couplings, t_max):
         model = SpinBathModel(bath_size=len(couplings), couplings=np.array(couplings))

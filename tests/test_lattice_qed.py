@@ -32,7 +32,6 @@ from qdeco.lattice_qed import (
     _basis_elements,
     _commutant_basis,
     _config_table,
-    _kept_pairs,
     _support_table,
     _wilson_map,
 )
@@ -801,9 +800,8 @@ class TestSupportFormParity:
                     exterior = [f for f in range(2 * sites) if f not in factors]
                     inner = np.array(list(itertools.product(*(ranges[f] for f in factors))))
                     outer = np.array(list(itertools.product(*(ranges[f] for f in exterior))))
-                    position, key = _support_table(spec, list(factors))
+                    position, a, b = _support_table(spec, list(factors))
                     assert position.shape == (len(inner), len(outer))
-                    assert key.shape == (len(inner),)
                     # row a runs over the interior values, column e over the exterior ones
                     joined = table[position]
                     shape = position.shape
@@ -814,21 +812,20 @@ class TestSupportFormParity:
                         joined[..., exterior],
                         np.broadcast_to(outer[None], (*shape, len(exterior))),
                     )
-                    # in every exterior column, equal keys exactly when the divergences agree
-                    keys = key.tolist()
-                    for column in labels[position].T.tolist():
-                        pairs = set(zip(keys, column))
-                        assert len(pairs) == len(set(keys)) == len(set(column))
+                    # the kept pairs are those whose divergences agree at some exterior
+                    want = brute_kept_pairs(labels[position])
+                    for got_part, want_part in zip((a, b), want[:2], strict=True):
+                        np.testing.assert_array_equal(got_part, want_part, strict=True)
 
     @pytest.mark.parametrize("factors", [[0, 1, 2], [0, 2, 3], [1, 3]])
     def test_report_elements_match_dense_operators(self, factors):
         spec = LatticeSpec(sites=2, e_max=1, left_field=1)
-        position, key = _support_table(spec, factors)
+        position, a, b = _support_table(spec, factors)
         d_int = position.shape[0]
         rng = np.random.default_rng(len(factors))
         x, y = (rng.normal(size=spec.flat_dim) + 1j * rng.normal(size=spec.flat_dim)
                 for _ in range(2))
-        got = _basis_elements(*_kept_pairs(key), x[position], y[position])
+        got = _basis_elements(a, b, x[position], y[position])
 
         expected = [np.vdot(x, op.entries @ y) for op in _commutant_basis(spec, factors)]
         assert len(got) == len(expected) > d_int
@@ -837,22 +834,22 @@ class TestSupportFormParity:
     @pytest.mark.parametrize("sites,e_max", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
     def test_kept_pairs_match_all_pair_comparison(self, sites, e_max):
         # the oracle compares every exterior column; a pair that agrees in one
-        # agrees in all, so its mask is all True and the key alone finds the pairs
+        # agrees in all, so its mask is all True and the interior alone finds the pairs
         for left in (1, 0, -e_max):
             spec = LatticeSpec(sites=sites, e_max=e_max, left_field=left)
             labels = divergence_labels(sites, e_max, left)
             for r in range(1, 2 * sites + 1):
                 for factors in itertools.combinations(range(2 * sites), r):
-                    position, key = _support_table(spec, list(factors))
+                    position, *got = _support_table(spec, list(factors))
                     a, b, keep = brute_kept_pairs(labels[position])
                     assert keep.all()
-                    for got, want in zip(_kept_pairs(key), (a, b), strict=True):
-                        np.testing.assert_array_equal(got, want, strict=True)
+                    for got_part, want in zip(got, (a, b), strict=True):
+                        np.testing.assert_array_equal(got_part, want, strict=True)
 
     def test_support_with_no_kept_pair(self):
-        # (1,3,0) with the charge as the interior: at each field value every charge has its own key
-        position, key = _support_table(LatticeSpec(1, 3, 0), [0])
-        got = _kept_pairs(key)
+        # (1,3,0) with the charge as the interior: at each field value every
+        # charge has its own divergence
+        position, *got = _support_table(LatticeSpec(1, 3, 0), [0])
         assert got[0].shape == got[1].shape == (0,)
         want = brute_kept_pairs(divergence_labels(1, 3, 0)[position])
         for got_part, want_part in zip(got, want[:2], strict=True):
