@@ -1,5 +1,14 @@
 """The ``qdeco`` command: parsing, dispatch and deterministic reports.
 
+The command line is parsed from the ``COMMANDS`` table alone: its leading
+words select a command, and every later word is ``--flag value`` or
+``--flag=value`` for one of that command's ``Param`` flags or ``--out``,
+``--format`` and ``--config``.  Flags are spelled in full, the word after a
+flag is always its value (so ``-1e7`` is one), and ``-h`` prints the help
+built from the same table at every level.  Reports are written without the
+``json`` module: each string a report holds is a command word, a name or the
+version, which needs no escape.
+
 Each runner takes the resolved parameters, which the report lists as its
 inputs, and returns its outputs.  The physics is in the library; two runners
 still reduce library results here.  ``lattice identity-check`` draws its gauge
@@ -34,13 +43,10 @@ memory, 2 usage error or an unwritable report.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import numbers
 import os
 import random
-import re
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -118,14 +124,7 @@ _DEPHASING_PHASE_BOUND = 1e5
 
 
 class UsageError(Exception):
-    """Bad flags or config keys; maps to exit code 2."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises :class:`UsageError` (one line, no usage block); subparsers inherit it."""
-
-    def error(self, message):
-        raise UsageError(message)
+    """Bad words, flags or config keys; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,7 @@ def _sweep_json(sweep: dict, indent: int) -> str:
     """``_to_json`` of one object per row, with the keys sorted."""
     keys = sorted(sweep)
     row_pad, key_pad = "  " * (indent + 1), "  " * (indent + 2)
-    fields = ",\n".join(f"{key_pad}{json.dumps(k)}: %.12g" for k in keys)
+    fields = ",\n".join(f"{key_pad}{_to_json(k)}: %.12g" for k in keys)
     rows = _sweep_text(sweep, keys, f"{row_pad}{{\n{fields}\n{row_pad}}}", ",\n")
     return f"[\n{rows}\n{'  ' * indent}]" if rows else "[]"
 
@@ -178,7 +177,7 @@ def _to_json(obj, indent: int = 0) -> str:
         return _sweep_json(obj, indent)
     if isinstance(obj, dict):
         parts = [
-            f"{inner}{json.dumps(str(k))}: {_to_json(obj[k], indent + 1)}"
+            f"{inner}{_to_json(str(k))}: {_to_json(obj[k], indent + 1)}"
             for k in sorted(obj, key=str)
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
@@ -189,7 +188,12 @@ def _to_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     if isinstance(obj, numbers.Real) and not isinstance(obj, bool):
         return _format_number(obj)
-    return json.dumps(obj)  # str, bool and None; a TypeError for any other type
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    # a report's strings are command words, names and the version, which need no escape
+    if isinstance(obj, str) and obj.isascii() and obj.isprintable() and not {'"', "\\"} & set(obj):
+        return f'"{obj}"'
+    raise TypeError(f"cannot write {obj!r} as JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -236,38 +240,28 @@ def _int_value(text: str) -> int:
         raise UsageError(f"expected an integer, got {text!r}") from exc
 
 
-# A value such as -1e7 or -0.6,0.8 after a flag is a negative number, not a
-# flag; argparse's own pattern knows only the forms -1 and -1.5.
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(?:,[-+]?{_NUMBER})*$")
+# The flags every command takes besides its own, with their help.
+_COMMON = {"--out": "write the report to this file, not to stdout",
+           "--format": "json (the default) or csv",
+           "--config": "a file of 'name = value' lines (t_max = 6 for --t-max); flags override it"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qdeco",
-        description="environment-induced decoherence experiments",
-    )
-    top = parser.add_subparsers(dest="_cmd0", required=True, metavar="command")
-    groups: dict[str, argparse._SubParsersAction] = {}
-    for key, info in COMMANDS.items():
-        if len(key) == 1:
-            leaf = top.add_parser(key[0], help=info["help"])
-        else:
-            if key[0] not in groups:
-                grp = top.add_parser(key[0], help=f"{key[0]} experiments")
-                groups[key[0]] = grp.add_subparsers(
-                    dest="_cmd1", required=True, metavar="subcommand"
-                )
-            leaf = groups[key[0]].add_parser(key[1], help=info["help"])
-        leaf._negative_number_matcher = _NEGATIVE_NUMBER
-        for p in info["params"]:
-            leaf.add_argument(p.flag, dest=p.dest, default=None, help=p.help)
-        leaf.add_argument("--out", dest="_out", default=None, help="write report to file")
-        leaf.add_argument("--format", dest="_format", default="json", choices=["json", "csv"])
-        leaf.add_argument("--config", dest="_config", default=None,
-                          help="key = value file; flags override")
-        leaf.set_defaults(_key=key)
-    return parser
+def _next_words(key: tuple[str, ...]) -> dict[str, str]:
+    """The words that may follow ``qdeco <key>``, each with its help: commands, or flags."""
+    if key in COMMANDS:
+        return {p.flag: f"{p.help} ({'required' if p.default is None else f'default {p.default}'})"
+                for p in COMMANDS[key]["params"]} | _COMMON
+    n = len(key)
+    return {k[n]: COMMANDS[k]["help"] if len(k) == n + 1 else f"{k[n]} experiments"
+            for k in COMMANDS if k[:n] == key}
+
+
+def _usage(key: tuple[str, ...]) -> str:
+    """The help of ``qdeco <key>``: each word or flag that may follow it, with its help."""
+    tail = "--flag value ..." if key in COMMANDS else "<command> ..."
+    title = _next_words(key[:-1])[key[-1]] if key else "environment-induced decoherence experiments"
+    rows = [f"  {word:<18} {text}" for word, text in _next_words(key).items()]
+    return "\n".join([f"usage: {' '.join(('qdeco', *key, tail))}", "", title, "", *rows, ""])
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -284,31 +278,52 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve_params(key: tuple[str, ...], args: argparse.Namespace) -> dict:
-    params = COMMANDS[key]["params"]
-    by_dest = {p.dest: p for p in params}
+def _parse(argv: list[str]) -> tuple[tuple[str, ...], dict | None, dict[str, str]]:
+    """The command's key, its resolved values, and the words of every flag given.
 
-    config_raw: dict[str, str] = {}
-    if args._config is not None:
-        config_raw = _read_config(args._config)
-        unknown = sorted(set(config_raw) - set(by_dest))
-        if unknown:
-            raise UsageError(
-                f"unknown config keys for '{' '.join(key)}': {', '.join(unknown)}"
-            )
+    The leading words select the command.  Each later word is ``--flag value``
+    or ``--flag=value``; the word after a flag is always its value, so ``-1e7``
+    needs no number grammar.  The last of a repeated flag wins.  A parameter
+    comes from its flag, else from the config file, else its default.  The
+    values are None when ``-h`` or ``--help`` asks for the help of the words
+    before it.
+    """
+    words, key = iter(argv), ()
+    while key not in COMMANDS:
+        choices = _next_words(key)
+        word = next(words, None)
+        if word in ("-h", "--help"):
+            return key, None, {}
+        if word not in choices:
+            raise UsageError(f"{' '.join(('qdeco', *key))!r} expects one of {', '.join(choices)}"
+                             + ("" if word is None else f", got {word!r}"))
+        key += (word,)
+    params, known = COMMANDS[key]["params"], _next_words(key)
+    flags = {"--format": "json"}
+    for word in words:
+        if word in ("-h", "--help"):
+            return key, None, {}
+        flag, eq, value = word.partition("=")
+        if flag not in known:
+            raise UsageError(f"unrecognized argument {word!r} for '{' '.join(key)}'")
+        value = value if eq else next(words, None)
+        if value is None:
+            raise UsageError(f"{flag} expects a value")
+        flags[flag] = value
+    if flags["--format"] not in ("json", "csv"):
+        raise UsageError(f"--format expects json or csv, got {flags['--format']!r}")
 
-    resolved: dict[str, object] = {}
-    for dest, p in by_dest.items():
-        raw = getattr(args, dest)
-        if raw is None:
-            raw = config_raw.get(dest)
-        if raw is None:
-            if p.default is None:
-                raise UsageError(f"missing required parameter {p.flag}")
-            resolved[dest] = p.default
-        else:
-            resolved[dest] = p.convert(raw)
-    return resolved
+    config = _read_config(flags["--config"]) if "--config" in flags else {}
+    unknown = sorted(set(config) - {p.dest for p in params})
+    if unknown:
+        raise UsageError(f"unknown config keys for '{' '.join(key)}': {', '.join(unknown)}")
+    values = {}
+    for p in params:
+        raw = flags.get(p.flag, config.get(p.dest))
+        if raw is None and p.default is None:
+            raise UsageError(f"missing required parameter {p.flag}")
+        values[p.dest] = p.default if raw is None else p.convert(raw)
+    return key, values, flags
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +367,7 @@ def _run_dephasing(v: dict):
     phase = 2.0 * v["t_max"] * (n * (max(map(abs, v["coupling"])) / 2.0))
     if math.isfinite(phase) and phase > _DEPHASING_PHASE_BOUND:
         raise ValueError(
-            f"bath phase t_max N max|g| = {phase:.12g} exceeds {_DEPHASING_PHASE_BOUND:g};"
+            f"bath phase t_max N max|g| = {phase!r} exceeds {_DEPHASING_PHASE_BOUND:g};"
             " double precision cannot resolve it to 1e-10"
         )
     model = SpinBathModel(bath_size=n, couplings=np.array(v["coupling"]))
@@ -501,9 +516,9 @@ COMMANDS: dict[tuple[str, ...], dict] = {
     ("lattice", "superselect"): {
         "help": "charge-sector indistinguishability report",
         "params": [
-            Param("--sites", _int_value),
-            Param("--emax", _int_value),
-            Param("--left-field", _int_value),
+            Param("--sites", _int_value, help="number of lattice sites"),
+            Param("--emax", _int_value, help="link field truncation: |E| <= emax"),
+            Param("--left-field", _int_value, help="fixed boundary field left of site 1"),
         ],
         "tolerances": {"cross_element": 1e-12},
         "run": _run_lattice_superselect,
@@ -511,11 +526,11 @@ COMMANDS: dict[tuple[str, ...], dict] = {
     ("lattice", "identity-check"): {
         "help": "surface-plus-bulk identity for random gauge functions",
         "params": [
-            Param("--sites", _int_value),
-            Param("--emax", _int_value),
-            Param("--seed", _int_value),
-            Param("--left-field", _int_value, default=0),
-            Param("--trials", _int_value, default=50),
+            Param("--sites", _int_value, help="number of lattice sites"),
+            Param("--emax", _int_value, help="link field truncation: |E| <= emax"),
+            Param("--seed", _int_value, help="seed of the gauge-function draws"),
+            Param("--left-field", _int_value, 0, "fixed boundary field left of site 1"),
+            Param("--trials", _int_value, 50, "number of random gauge functions"),
         ],
         "tolerances": {"identity_residual": 1e-12},
         "run": _run_lattice_identity,
@@ -523,8 +538,8 @@ COMMANDS: dict[tuple[str, ...], dict] = {
     ("field", "factor"): {
         "help": "interference suppression factor for a field superposition",
         "params": [
-            Param("--volume-cm3", _float_value),
-            Param("--efield-v-per-cm", _float_value),
+            Param("--volume-cm3", _float_value, help="volume of the field region in cm^3"),
+            Param("--efield-v-per-cm", _float_value, help="electric field in V/cm"),
         ],
         "tolerances": {"conversion_round_trip": 1e-12},
         "run": _run_field_factor,
@@ -532,7 +547,7 @@ COMMANDS: dict[tuple[str, ...], dict] = {
     ("field", "coherence-length"): {
         "help": "length scale where field interference is suppressed",
         "params": [
-            Param("--efield-v-per-cm", _float_value),
+            Param("--efield-v-per-cm", _float_value, help="electric field in V/cm"),
             Param("--threshold", _float_value, default=1.0,
                   help="suppression exponent defining 'decohered'"),
         ],
@@ -542,7 +557,7 @@ COMMANDS: dict[tuple[str, ...], dict] = {
     ("field", "validity-time"): {
         "help": "time beyond which the closed-form suppression applies",
         "params": [
-            Param("--efield-v-per-cm", _float_value),
+            Param("--efield-v-per-cm", _float_value, help="electric field in V/cm"),
         ],
         "tolerances": {"conversion_round_trip": 1e-12},
         "run": _run_field_validity_time,
@@ -550,8 +565,8 @@ COMMANDS: dict[tuple[str, ...], dict] = {
     ("thermal", "length"): {
         "help": "electron coherence length in thermal radiation",
         "params": [
-            Param("--time-s", _float_value),
-            Param("--lambda-cm2s", _float_value, default=100.0),
+            Param("--time-s", _float_value, help="elapsed time in s"),
+            Param("--lambda-cm2s", _float_value, 100.0, "localization rate in cm^-2 s^-1"),
         ],
         "tolerances": {"conversion_round_trip": 1e-12},
         "run": _run_thermal_length,
@@ -591,12 +606,9 @@ def _render(key, values, outputs, sweep, fmt: str) -> str:
 
 
 def run(argv: list[str]) -> int:
-    """Parse, dispatch, and emit a report; returns the process exit code."""
+    """Parse, dispatch, and emit a report or the help; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
-        values = _resolve_params(args._key, args)
-    except SystemExit as exc:  # -h printed the help
-        return int(exc.code or 0)
+        key, values, flags = _parse(argv)
     except UsageError as exc:
         print(f"qdeco: error: {exc}", file=sys.stderr)
         return 2
@@ -605,8 +617,11 @@ def run(argv: list[str]) -> int:
         return 2
 
     try:
-        outputs, sweep = COMMANDS[args._key]["run"](values)
-        text = _render(args._key, values, outputs, sweep, args._format)
+        if values is None:  # -h or --help: the help goes out as a report does
+            text = _usage(key)
+        else:
+            outputs, sweep = COMMANDS[key]["run"](values)
+            text = _render(key, values, outputs, sweep, flags["--format"])
     except ValueError as exc:
         print(f"qdeco: validation error: {exc}", file=sys.stderr)
         return 1
@@ -616,11 +631,11 @@ def run(argv: list[str]) -> int:
         return 1
 
     try:
-        if args._out is None:
+        if "--out" not in flags:
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
-            Path(args._out).write_text(text)
+            Path(flags["--out"]).write_text(text)
     except OSError as exc:  # a closed pipe, a full disk, a missing directory
         print(f"qdeco: error: cannot write report: {exc}", file=sys.stderr)
         return 2
@@ -631,10 +646,10 @@ def main() -> None:
     """The ``qdeco`` console script: :func:`run` on one OpenBLAS thread, no teardown."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy first executes
     code = run(sys.argv[1:])
-    for stream in (sys.stdout, sys.stderr):  # -h leaves its help in the buffer
+    for stream in (sys.stdout, sys.stderr):  # what a failed write left in the buffer
         try:
             stream.flush()
-        except OSError:  # what is left of a report that run refused, or of the help
+        except OSError:  # what is left of a report, or of the help, that run refused
             pass
     os._exit(code)
 

@@ -8,13 +8,21 @@ and logs its exit code, wall time and peak RSS.
 
 import math
 
-from qdeco.cli import _DEPHASING_STEP_BOUND, _IDENTITY_ENTRY_BOUND, _IDENTITY_TRIAL_ENTRIES
+from qdeco.cli import (
+    _DEPHASING_PHASE_BOUND,
+    _DEPHASING_STEP_BOUND,
+    _IDENTITY_ENTRY_BOUND,
+    _IDENTITY_TRIAL_ENTRIES,
+)
 from qdeco.decoherence import _PHASE_ENTRY_BOUND, MAX_BATH_SIZE
 from qdeco.hilbert import DENSE_OPERATOR_LIMIT
 from qdeco.lattice_qed import ENUMERATION_LIMIT, LatticeSpec
 
 # n equal branches reduce to an n^2-dimensional (system, apparatus) state
 MAX_BRANCHES = math.isqrt(DENSE_OPERATOR_LIMIT)
+
+# couplings 2^-k: no two signed sums are equal, so the 2^N bath energies are distinct
+GENERIC_COUPLINGS = [2.0**-k for k in range(MAX_BATH_SIZE)]
 
 
 def lattice_shapes() -> list[tuple[int, int]]:
@@ -48,9 +56,18 @@ def identity_check(sites: int, e_max: int) -> list[str]:
             "--seed", "1", "--trials", str(_IDENTITY_ENTRY_BOUND // entries)]
 
 
-def dephasing(couplings: str, steps: int) -> list[str]:
+def dephasing(couplings: str, steps: int, t_max: str = "6") -> list[str]:
     return ["dephasing", "--spins", str(MAX_BATH_SIZE), "--coupling", couplings,
-            "--t-max", "6", "--steps", str(steps)]
+            "--t-max", t_max, "--steps", str(steps)]
+
+
+def dephasing_at_phase_bound(steps: int) -> list[str]:
+    """The generic bath up to the t_max whose bath phase t_max N max|g| is the phase bound."""
+    g = max(GENERIC_COUPLINGS)
+    t_max = _DEPHASING_PHASE_BOUND / (MAX_BATH_SIZE * g)
+    phase = 2.0 * t_max * (MAX_BATH_SIZE * (g / 2.0))  # as the runner forms it
+    assert phase <= _DEPHASING_PHASE_BOUND, phase
+    return dephasing(",".join(map(repr, GENERIC_COUPLINGS)), steps, repr(t_max))
 
 
 def frontier_argvs() -> list[list[str]]:
@@ -60,16 +77,18 @@ def frontier_argvs() -> list[list[str]]:
     with two sites, and on (1,1), which admits the most trials.  ``dephasing``
     runs the largest bath at the step bound, whose report sets the peak, in
     JSON and in CSV; then with couplings 2^-k, whose 2^N bath energies are all
-    distinct, at the most steps the phase table admits.
+    distinct, at the most steps the phase table admits, and at 2000 steps up to
+    the phase bound.
     """
     shapes = lattice_shapes()
     uniform = dephasing("1.0", _DEPHASING_STEP_BOUND)
-    generic = ",".join(repr(2.0**-k) for k in range(MAX_BATH_SIZE))
+    generic = ",".join(map(repr, GENERIC_COUPLINGS))
     return [
         *(superselect(*shape) for shape in shapes),
         *(identity_check(*shape) for shape in (shapes[-1], shapes[1], (1, 1))),
         uniform,
         [*uniform, "--format", "csv"],
         dephasing(generic, _PHASE_ENTRY_BOUND // 2**MAX_BATH_SIZE),
+        dephasing_at_phase_bound(2000),
         tripartite(MAX_BRANCHES),
     ]

@@ -19,7 +19,13 @@ from qdeco.decoherence import NORM_TOL
 from qdeco.hilbert import DENSE_OPERATOR_LIMIT
 from qdeco.lattice_qed import ENUMERATION_LIMIT
 
-from frontier import MAX_BRANCHES, lattice_shapes, superselect, tripartite
+from frontier import (
+    MAX_BRANCHES,
+    dephasing_at_phase_bound,
+    lattice_shapes,
+    superselect,
+    tripartite,
+)
 from oracles import brute_force_gauss_kernel, brute_operator_count
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -90,6 +96,14 @@ class TestEmitSweep:
                 render_csv({}, sweep)
             with pytest.raises(ValueError, match=message):
                 cli._to_json({"rows": cli._Sweep(sweep)})
+
+    def test_json_words_and_refused_strings(self):
+        # a report's strings need no escape, so one that would is refused, not written raw
+        for value in (None, True, False, "lattice superselect", "0.1.0"):
+            assert cli._to_json(value) == json.dumps(value)
+        for value in ('say "hi"', "back\\slash", "\u00e9", "tab\t", object()):
+            with pytest.raises(TypeError):
+                cli._to_json(value)
 
     def test_integers_keep_every_digit(self):
         assert render_csv({"n": 10**13, "x": 0.5}) == "n,x\n10000000000000,0.5\n"
@@ -209,6 +223,53 @@ class TestExitCodes:
         assert code == 0
         assert out.startswith("usage: qdeco thermal length")
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["thermal", "length", "--time", "1"],
+             "unrecognized argument '--time' for 'thermal length'"),
+            (["thermal", "length", "--time-s"], "--time-s expects a value"),
+            (["thermal", "length", "--time-s", "1", "--format=xml"],
+             "--format expects json or csv, got 'xml'"),
+            (["thermal", "length", "--time-s", "1", "2"],
+             "unrecognized argument '2' for 'thermal length'"),
+            ([], "'qdeco' expects one of tripartite, dephasing, lattice, field, thermal"),
+            (["lattice", "warp"],
+             "'qdeco lattice' expects one of superselect, identity-check, got 'warp'"),
+        ],
+        ids=["abbreviated-flag", "flag-without-value", "format-xml", "stray-word", "no-command",
+             "unknown-subcommand"],
+    )
+    def test_usage_error_line(self, capsys, argv, line):
+        assert run_capture(capsys, argv) == (2, "", f"qdeco: error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["-h"], ()),
+            (["lattice", "--help"], ("lattice",)),
+            (["lattice", "superselect", "-h"], ("lattice", "superselect")),
+            (["dephasing", "--spins", "3", "--help"], ("dephasing",)),
+        ],
+        ids=["root", "lattice", "command", "after-a-flag"],
+    )
+    def test_help_lists_every_word_or_flag_with_its_help(self, capsys, argv, key):
+        if key in cli.COMMANDS:
+            rows = {p.flag: p.help for p in cli.COMMANDS[key]["params"]}
+            rows.update({"--out": "report", "--format": "csv", "--config": "name = value"})
+        elif key:
+            rows = {k[1]: info["help"] for k, info in cli.COMMANDS.items() if k[0] == key[0]}
+        else:
+            rows = {k[0]: info["help"] for k, info in cli.COMMANDS.items() if len(k) == 1}
+            rows.update({group: f"{group} experiments" for group in ("lattice", "field", "thermal")})
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: {' '.join(('qdeco', *key))} ")
+        listed = {line.split()[0]: line for line in out.splitlines() if line.startswith("  ")}
+        assert set(listed) == set(rows)
+        for word, text in rows.items():
+            assert text and text in listed[word]
 
     def test_memory_error_is_exit_1(self, capsys, monkeypatch):
         def exhausted(values):
@@ -399,15 +460,20 @@ class TestExitCodes:
             # finite bath phases whose cosines double precision no longer pins to 1e-10
             (["dephasing", "--spins", "12", "--coupling", "1e150", "--t-max", "1e150",
               "--steps", "3"],
-             1, "qdeco: validation error: bath phase t_max N max|g| = 1.2e+301 exceeds 100000;"
-                " double precision cannot resolve it to 1e-10"),
+             1, "qdeco: validation error: bath phase t_max N max|g| = 1.1999999999999998e+301"
+                " exceeds 100000; double precision cannot resolve it to 1e-10"),
             (["dephasing", "--spins", "1", "--coupling", "-114.58988971867777",
               "--t-max", "6985.304390072021", "--steps", "51"],
-             1, "qdeco: validation error: bath phase t_max N max|g| = 800445.25971 exceeds"
+             1, "qdeco: validation error: bath phase t_max N max|g| = 800445.2597097486 exceeds"
+                " 100000; double precision cannot resolve it to 1e-10"),
+            # one ulp past the bound: the phase is printed in full, not rounded onto it
+            (["dephasing", "--spins", "10", "--coupling", "1.0", "--t-max", "10000.000000000002",
+              "--steps", "2000"],
+             1, "qdeco: validation error: bath phase t_max N max|g| = 100000.00000000001 exceeds"
                 " 100000; double precision cannot resolve it to 1e-10"),
         ],
         ids=["coupling-count", "zero-steps", "float-list", "integer", "norm-overflow",
-             "empty-entry", "trailing-comma", "phase-1e301", "phase-8e5"],
+             "empty-entry", "trailing-comma", "phase-1e301", "phase-8e5", "phase-one-ulp"],
     )
     def test_refusal_is_its_one_line(self, capsys, argv, code, line):
         assert run_capture(capsys, argv) == (code, "", line + "\n")
@@ -910,3 +976,19 @@ class TestFrontier:
         assert run_capture(capsys, superselect(sites, 1)) == (
             1, "", f"qdeco: validation error: {line}\n"
         )
+
+    def test_dephasing_at_the_phase_bound(self, capsys):
+        argv = dephasing_at_phase_bound(2000)
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        tolerance = report["provenance"]["tolerances"]["oracle_match"]
+        assert report["outputs"]["max_oracle_deviation"] <= tolerance == 1e-10
+
+        at = argv.index("--t-max") + 1
+        t_max = math.nextafter(float(argv[at]), math.inf)
+        argv[at] = repr(t_max)
+        past = 2.0 * t_max * (cli.MAX_BATH_SIZE * (1.0 / 2.0))  # as the runner forms it
+        line = (f"bath phase t_max N max|g| = {past!r} exceeds 100000;"
+                " double precision cannot resolve it to 1e-10")
+        assert run_capture(capsys, argv) == (1, "", f"qdeco: validation error: {line}\n")

@@ -153,6 +153,31 @@ def test_closed_form_reports_never_execute_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_commands_load_no_parsing_or_json_module():
+    # importing argparse and json took about 4.5 ms of every command's start;
+    # the command line is parsed from the COMMANDS table, and a report's
+    # strings need no escape.  numpy loads neither module
+    proc = _fresh_python("""
+        import contextlib, io, sys
+        preloaded = set(sys.modules)
+        from qdeco.cli import run
+        argvs = [
+            ["field", "factor", "--volume-cm3", "1e-12", "--efield-v-per-cm", "1e7"],
+            ["tripartite", "--coeffs", "0.7071067811865476,0.7071067811865476",
+             "--env-overlap", "0.2"],
+            ["thermal", "length", "-h"],
+        ]
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                if run(argv) != 0:
+                    sys.exit(f"{argv} failed")
+            loaded = sorted({"argparse", "json"} & (set(sys.modules) - preloaded))
+            if loaded:
+                sys.exit(f"{argv} loaded {loaded}")
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_start_loads_every_layer_and_no_dataclasses():
     # importing dataclasses (with inspect, ast, dis and tokenize) and building
     # frozen dataclasses took 17-24 ms of every command's start; perfbench's
@@ -236,7 +261,7 @@ def test_command_runs_openblas_on_one_thread_unless_the_user_sets_it(threads):
 
 
 # a sweep of about 1.3 MiB through a pipe, a --out report, a refusal, a usage
-# error, and the help, which argparse leaves in stdout's buffer
+# error, and the help, which goes out as a report does
 EXTRA_ENDINGS = {
     "dephasing_over_1_mib": (["dephasing", "--spins", "8", "--coupling", "1.0", "--t-max", "6.0",
                               "--steps", "30000", "--format", "csv"], 0),
@@ -253,7 +278,7 @@ def test_command_ends_without_teardown_and_loses_nothing(argv, code, capsys, tmp
                                                          monkeypatch):
     # main ends with os._exit, so nothing is flushed or closed after it returns;
     # the child's stdout is buffered, as a console script's is by default
-    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps the help to
+    monkeypatch.setenv("COLUMNS", "80")  # one terminal width for both runs; the help reads none
     monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     out = {side: tmp_path / f"{side}.txt" for side in ("child", "inproc")}
     proc = subprocess.run(
