@@ -167,7 +167,7 @@ def _sweep_json(sweep: dict, indent: int) -> str:
     row_pad, key_pad = "  " * (indent + 1), "  " * (indent + 2)
     fields = ",\n".join(f"{key_pad}{_to_json(k)}: %.12g" for k in keys)
     rows = _sweep_text(sweep, keys, f"{row_pad}{{\n{fields}\n{row_pad}}}", ",\n")
-    return f"[\n{rows}\n{'  ' * indent}]" if rows else "[]"
+    return f"[\n{rows}\n{'  ' * indent}]"
 
 
 def _to_json(obj, indent: int = 0) -> str:
@@ -182,8 +182,6 @@ def _to_json(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
         parts = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     if isinstance(obj, numbers.Real) and not isinstance(obj, bool):
@@ -490,6 +488,14 @@ def _run_thermal_length(v: dict):
     return {"length_cm": length.magnitude}, None
 
 
+# The flags that more than one command takes, each defined once.
+_LATTICE = [
+    Param("--sites", _int_value, help="number of lattice sites"),
+    Param("--emax", _int_value, help="link field truncation: |E| <= emax"),
+    Param("--left-field", _int_value, 0, "fixed boundary field left of site 1"),
+]
+_EFIELD = Param("--efield-v-per-cm", _float_value, help="electric field in V/cm")
+
 COMMANDS: dict[tuple[str, ...], dict] = {
     ("tripartite",): {
         "help": "reduce a correlated system-apparatus-environment state",
@@ -515,21 +521,15 @@ COMMANDS: dict[tuple[str, ...], dict] = {
     },
     ("lattice", "superselect"): {
         "help": "charge-sector indistinguishability report",
-        "params": [
-            Param("--sites", _int_value, help="number of lattice sites"),
-            Param("--emax", _int_value, help="link field truncation: |E| <= emax"),
-            Param("--left-field", _int_value, help="fixed boundary field left of site 1"),
-        ],
+        "params": _LATTICE,
         "tolerances": {"cross_element": 1e-12},
         "run": _run_lattice_superselect,
     },
     ("lattice", "identity-check"): {
         "help": "surface-plus-bulk identity for random gauge functions",
         "params": [
-            Param("--sites", _int_value, help="number of lattice sites"),
-            Param("--emax", _int_value, help="link field truncation: |E| <= emax"),
+            *_LATTICE,
             Param("--seed", _int_value, help="seed of the gauge-function draws"),
-            Param("--left-field", _int_value, 0, "fixed boundary field left of site 1"),
             Param("--trials", _int_value, 50, "number of random gauge functions"),
         ],
         "tolerances": {"identity_residual": 1e-12},
@@ -539,7 +539,7 @@ COMMANDS: dict[tuple[str, ...], dict] = {
         "help": "interference suppression factor for a field superposition",
         "params": [
             Param("--volume-cm3", _float_value, help="volume of the field region in cm^3"),
-            Param("--efield-v-per-cm", _float_value, help="electric field in V/cm"),
+            _EFIELD,
         ],
         "tolerances": {"conversion_round_trip": 1e-12},
         "run": _run_field_factor,
@@ -547,7 +547,7 @@ COMMANDS: dict[tuple[str, ...], dict] = {
     ("field", "coherence-length"): {
         "help": "length scale where field interference is suppressed",
         "params": [
-            Param("--efield-v-per-cm", _float_value, help="electric field in V/cm"),
+            _EFIELD,
             Param("--threshold", _float_value, default=1.0,
                   help="suppression exponent defining 'decohered'"),
         ],
@@ -556,9 +556,7 @@ COMMANDS: dict[tuple[str, ...], dict] = {
     },
     ("field", "validity-time"): {
         "help": "time beyond which the closed-form suppression applies",
-        "params": [
-            Param("--efield-v-per-cm", _float_value, help="electric field in V/cm"),
-        ],
+        "params": [_EFIELD],
         "tolerances": {"conversion_round_trip": 1e-12},
         "run": _run_field_validity_time,
     },

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import math
@@ -16,8 +17,9 @@ import qdeco.cli as cli
 import qdeco.lattice_qed as lattice_qed
 from qdeco.cli import run
 from qdeco.decoherence import NORM_TOL
+from qdeco.field_decoherence import ThermalModel, coherence_length
 from qdeco.hilbert import DENSE_OPERATOR_LIMIT
-from qdeco.lattice_qed import ENUMERATION_LIMIT
+from qdeco.lattice_qed import ENUMERATION_LIMIT, LatticeSpec
 
 from frontier import (
     MAX_BRANCHES,
@@ -69,7 +71,8 @@ class TestEmitSweep:
     def test_empty_rows_header_only(self):
         empty = columns([], ["a", "b"])
         assert render_csv({}, empty) == "a,b\n"
-        assert cli._to_json(cli._Sweep(empty)) == "[]"
+        # no report holds an empty list; written anyway, a sweep reads as a plain list
+        assert cli._to_json(cli._Sweep(empty)) == cli._to_json([])
 
     def test_csv_round_trip_at_12_digits(self):
         rows = [
@@ -635,6 +638,31 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("qdeco: error: cannot write report: ")
         assert len(proc.stderr.splitlines()) == 1 and "Broken pipe" in proc.stderr
+
+
+class TestParamTable:
+    """The flags of ``COMMANDS``: one ``Param`` per flag string, defaults as the library's."""
+
+    def test_each_flag_string_is_one_param(self):
+        params = {p for info in cli.COMMANDS.values() for p in info["params"]}
+        flags = [p.flag for p in params]
+        assert len(flags) == len(set(flags))
+
+    def test_defaults_are_the_library_defaults(self):
+        defaults = {p.flag: p.default for info in cli.COMMANDS.values() for p in info["params"]}
+        threshold = inspect.signature(coherence_length).parameters["threshold_exponent"]
+        assert defaults["--left-field"] == LatticeSpec(1, 1).left_field == 0
+        assert defaults["--threshold"] == threshold.default == 1.0
+        assert defaults["--lambda-cm2s"] == ThermalModel().localization_rate == 100.0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("sites,emax", [(2, 2), (1, 3)])
+    def test_superselect_left_field_defaults_to_zero(self, capsys, sites, emax, fmt):
+        argv = ["lattice", "superselect", "--sites", str(sites), "--emax", str(emax),
+                "--format", fmt]
+        want = run_capture(capsys, [*argv, "--left-field", "0"])
+        assert want[0] == 0
+        assert run_capture(capsys, argv) == want
 
 
 class TestReports:
