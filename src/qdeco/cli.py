@@ -2,12 +2,13 @@
 
 The command line is parsed from the ``COMMANDS`` table alone: its leading
 words select a command, and every later word is ``--flag value`` or
-``--flag=value`` for one of that command's ``Param`` flags or ``--out``,
-``--format`` and ``--config``.  Flags are spelled in full, the word after a
-flag is always its value (so ``-1e7`` is one), and ``-h`` prints the help
-built from the same table at every level.  Reports are written without the
-``json`` module: each string a report holds is a command word, a name or the
-version, which needs no escape.
+``--flag=value`` for one of that command's ``Param`` flags, ``--out`` or
+``--format``.  Flags are spelled in full, the word after a flag is always its
+value (so ``-1e7`` is one), and ``-h`` prints the help built from the same
+table at every level.  A parameter comes from its flag or from its default;
+parsing reads no file.  Reports are written without the ``json`` module: each
+string a report holds is a command word, a name or the version, which needs no
+escape.
 
 Each runner takes the resolved parameters, which the report lists as its
 inputs, and returns its outputs.  The physics is in the library; two runners
@@ -124,7 +125,7 @@ _DEPHASING_PHASE_BOUND = 1e5
 
 
 class UsageError(Exception):
-    """Bad words, flags or config keys; maps to exit code 2."""
+    """Bad words or flags; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +241,7 @@ def _int_value(text: str) -> int:
 
 # The flags every command takes besides its own, with their help.
 _COMMON = {"--out": "write the report to this file, not to stdout",
-           "--format": "json (the default) or csv",
-           "--config": "a file of 'name = value' lines (t_max = 6 for --t-max); flags override it"}
+           "--format": "json (the default) or csv"}
 
 
 def _next_words(key: tuple[str, ...]) -> dict[str, str]:
@@ -262,29 +262,14 @@ def _usage(key: tuple[str, ...]) -> str:
     return "\n".join([f"usage: {' '.join(('qdeco', *key, tail))}", "", title, "", *rows, ""])
 
 
-def _read_config(path: str) -> dict[str, str]:
-    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
 def _parse(argv: list[str]) -> tuple[tuple[str, ...], dict | None, dict[str, str]]:
     """The command's key, its resolved values, and the words of every flag given.
 
     The leading words select the command.  Each later word is ``--flag value``
     or ``--flag=value``; the word after a flag is always its value, so ``-1e7``
     needs no number grammar.  The last of a repeated flag wins.  A parameter
-    comes from its flag, else from the config file, else its default.  The
-    values are None when ``-h`` or ``--help`` asks for the help of the words
-    before it.
+    comes from its flag, else from its default.  The values are None when
+    ``-h`` or ``--help`` asks for the help of the words before it.
     """
     words, key = iter(argv), ()
     while key not in COMMANDS:
@@ -296,7 +281,7 @@ def _parse(argv: list[str]) -> tuple[tuple[str, ...], dict | None, dict[str, str
             raise UsageError(f"{' '.join(('qdeco', *key))!r} expects one of {', '.join(choices)}"
                              + ("" if word is None else f", got {word!r}"))
         key += (word,)
-    params, known = COMMANDS[key]["params"], _next_words(key)
+    known = _next_words(key)
     flags = {"--format": "json"}
     for word in words:
         if word in ("-h", "--help"):
@@ -311,13 +296,9 @@ def _parse(argv: list[str]) -> tuple[tuple[str, ...], dict | None, dict[str, str
     if flags["--format"] not in ("json", "csv"):
         raise UsageError(f"--format expects json or csv, got {flags['--format']!r}")
 
-    config = _read_config(flags["--config"]) if "--config" in flags else {}
-    unknown = sorted(set(config) - {p.dest for p in params})
-    if unknown:
-        raise UsageError(f"unknown config keys for '{' '.join(key)}': {', '.join(unknown)}")
     values = {}
-    for p in params:
-        raw = flags.get(p.flag, config.get(p.dest))
+    for p in COMMANDS[key]["params"]:
+        raw = flags.get(p.flag)
         if raw is None and p.default is None:
             raise UsageError(f"missing required parameter {p.flag}")
         values[p.dest] = p.default if raw is None else p.convert(raw)
@@ -609,9 +590,6 @@ def run(argv: list[str]) -> int:
         key, values, flags = _parse(argv)
     except UsageError as exc:
         print(f"qdeco: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"qdeco: error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
     try:

@@ -162,7 +162,7 @@ def build_correlated_state(spec: CorrelatedStateSpec) -> StateVector:
     rows = (spec.coefficients[:, None] * system[:, s] * apparatus[:, a]).T @ environment
     with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
         norm = float(np.linalg.norm(rows))
-    if abs(norm**2 - 1.0) > NORM_TOL:
+    if not abs(norm**2 - 1.0) <= NORM_TOL:
         raise NormalizationError(
             f"correlated state has norm {norm:.6f}, expected 1; "
             "adjust the coefficients for the given branch overlaps"
@@ -240,9 +240,9 @@ class DephasingCurve(namedtuple("DephasingCurve", "times coherence entropy")):
         s = np.asarray(entropy, dtype=np.float64).ravel()
         if not (t.shape == c.shape == s.shape):
             raise ValueError("times, coherence and entropy must have equal lengths")
-        if np.any(c < 0.0) or np.any(c > 1.0 + 1e-12):
+        if not np.all((c >= 0.0) & (c <= 1.0 + 1e-12)):
             raise ValueError("coherence values must lie in [0, 1]")
-        if np.any(s < -1e-12) or np.any(s > math.log(2) + 1e-9):
+        if not np.all((s >= -1e-12) & (s <= math.log(2) + 1e-9)):
             raise ValueError("entropy values must lie in [0, ln 2]")
         return super().__new__(cls, t, c, s)
 

@@ -51,7 +51,7 @@ class ThermalModel(namedtuple("ThermalModel", "localization_rate")):
     __slots__ = ()
 
     def __new__(cls, localization_rate=100.0):
-        if localization_rate <= 0:
+        if not localization_rate > 0:
             raise ValueError("localization rate must be positive")
         return super().__new__(cls, localization_rate)
 
@@ -91,7 +91,7 @@ def decoherence_exponent(volume, efield) -> float:
     """Positive exponent V e^2 E^2 / (512 pi m) in natural units."""
     v = to_natural(volume, VOLUME)
     e_field = to_natural(efield, ELECTRIC_FIELD)
-    if v < 0:
+    if not v >= 0:
         raise ValueError("volume must be nonnegative")
     c = CONSTANTS
     numerator = v * c.e**2 * _square(e_field)
@@ -117,7 +117,7 @@ def coherence_length(efield, threshold_exponent: float = 1.0) -> PhysicalQuantit
     Returned in natural units; convert to cm on request.
     """
     e_field = _field_magnitude(efield, "coherence length")
-    if threshold_exponent <= 0:
+    if not threshold_exponent > 0:
         raise ValueError("threshold exponent must be positive")
     c = CONSTANTS
     volume_field = _SUPPRESSION_DENOMINATOR * c.m_electron / c.e**2  # L^3 E^2 at threshold 1
@@ -142,7 +142,7 @@ def thermal_coherence_length(
     Bare floats are taken as seconds; the result is an SI length in cm.
     """
     t_s = to_si(t, TIME)
-    if t_s <= 0:
+    if not t_s > 0:
         raise ValueError("time must be positive")
     root = math.sqrt(model.localization_rate) * math.sqrt(t_s)
     return si_length_cm(_ratio("thermal coherence length", 1.0, root))

@@ -1,6 +1,7 @@
 import csv
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -240,39 +241,45 @@ class TestExitCodes:
             ([], "'qdeco' expects one of tripartite, dephasing, lattice, field, thermal"),
             (["lattice", "warp"],
              "'qdeco lattice' expects one of superselect, identity-check, got 'warp'"),
+            (["thermal", "length", "--time-s", "1", "--config", "run.cfg"],
+             "unrecognized argument '--config' for 'thermal length'"),
         ],
         ids=["abbreviated-flag", "flag-without-value", "format-xml", "stray-word", "no-command",
-             "unknown-subcommand"],
+             "unknown-subcommand", "config"],
     )
     def test_usage_error_line(self, capsys, argv, line):
         assert run_capture(capsys, argv) == (2, "", f"qdeco: error: {line}\n")
 
     @pytest.mark.parametrize(
-        "argv,key",
+        "argvs",
         [
-            (["-h"], ()),
-            (["lattice", "--help"], ("lattice",)),
-            (["lattice", "superselect", "-h"], ("lattice", "superselect")),
-            (["dephasing", "--spins", "3", "--help"], ("dephasing",)),
+            [["-h"]],
+            [["lattice", "--help"]],
+            [[*key, "-h"] for key in cli.COMMANDS],
+            [["dephasing", "--spins", "3", "--help"]],
         ],
         ids=["root", "lattice", "command", "after-a-flag"],
     )
-    def test_help_lists_every_word_or_flag_with_its_help(self, capsys, argv, key):
-        if key in cli.COMMANDS:
-            rows = {p.flag: p.help for p in cli.COMMANDS[key]["params"]}
-            rows.update({"--out": "report", "--format": "csv", "--config": "name = value"})
-        elif key:
-            rows = {k[1]: info["help"] for k, info in cli.COMMANDS.items() if k[0] == key[0]}
-        else:
-            rows = {k[0]: info["help"] for k, info in cli.COMMANDS.items() if len(k) == 1}
-            rows.update({group: f"{group} experiments" for group in ("lattice", "field", "thermal")})
-        code, out, err = run_capture(capsys, argv)
-        assert (code, err) == (0, "")
-        assert out.startswith(f"usage: {' '.join(('qdeco', *key))} ")
-        listed = {line.split()[0]: line for line in out.splitlines() if line.startswith("  ")}
-        assert set(listed) == set(rows)
-        for word, text in rows.items():
-            assert text and text in listed[word]
+    def test_help_lists_every_word_or_flag_with_its_help(self, capsys, argvs):
+        for argv in argvs:
+            key = tuple(itertools.takewhile(lambda word: not word.startswith("-"), argv))
+            if key in cli.COMMANDS:
+                # the command's own flags in table order, then the common ones
+                rows = {p.flag: p.help for p in cli.COMMANDS[key]["params"]}
+                rows.update({"--out": "report", "--format": "csv"})
+            elif key:
+                rows = {k[1]: info["help"] for k, info in cli.COMMANDS.items() if k[0] == key[0]}
+            else:
+                rows = {k[0]: info["help"] for k, info in cli.COMMANDS.items() if len(k) == 1}
+                rows.update({group: f"{group} experiments"
+                             for group in ("lattice", "field", "thermal")})
+            code, out, err = run_capture(capsys, argv)
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: {' '.join(('qdeco', *key))} ")
+            listed = {line.split()[0]: line for line in out.splitlines() if line.startswith("  ")}
+            assert list(listed) == list(rows)
+            for word, text in rows.items():
+                assert text and text in listed[word]
 
     def test_memory_error_is_exit_1(self, capsys, monkeypatch):
         def exhausted(values):
@@ -883,77 +890,6 @@ class TestDeterminism:
         report = json.loads(out)
         assert list(report) == sorted(report)
         assert list(report["outputs"]) == sorted(report["outputs"])
-
-
-class TestConfigFile:
-    def test_values_from_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# thermal length\n\ntime_s = 1\nlambda_cm2s = 100  # default rate\n")
-        code, out, _ = run_capture(capsys, ["thermal", "length", "--config", str(cfg)])
-        assert code == 0
-        assert json.loads(out)["outputs"]["length_cm"] == 0.1
-
-    def test_flags_override_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("time_s = 1\n")
-        code, out, _ = run_capture(
-            capsys, ["thermal", "length", "--config", str(cfg), "--time-s", "100"]
-        )
-        assert code == 0
-        assert json.loads(out)["outputs"]["length_cm"] == pytest.approx(0.01)
-
-    def test_unknown_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("time_s = 1\ntemperature = 300\n")
-        code, _, err = run_capture(capsys, ["thermal", "length", "--config", str(cfg)])
-        assert code == 2
-        assert "temperature" in err
-
-    def test_missing_config_file(self, capsys, tmp_path):
-        code, _, _ = run_capture(
-            capsys, ["thermal", "length", "--config", str(tmp_path / "nope.cfg")]
-        )
-        assert code == 2
-
-    def test_byte_order_mark_is_not_part_of_the_first_key(self, capsys, tmp_path):
-        # Windows editors may begin a UTF-8 file with the mark EF BB BF
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(b"\xef\xbb\xbfsites = 2\nemax = 1\nleft_field = 0\n")
-        argv = ["lattice", "superselect", "--sites", "2", "--emax", "1", "--left-field", "0"]
-        code, from_flags, _ = run_capture(capsys, argv)
-        assert code == 0
-        code, from_config, err = run_capture(
-            capsys, ["lattice", "superselect", "--config", str(cfg)])
-        assert (code, err) == (0, "")
-        assert from_config == from_flags
-
-    def test_undecodable_config_refused_in_one_line(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(b"spins = 3\xff\n")
-        code, out, err = run_capture(capsys, [
-            "dephasing", "--config", str(cfg), "--coupling", "1", "--t-max", "1", "--steps", "3"])
-        assert (code, out) == (2, "")
-        assert err.startswith("qdeco: error: cannot read config: ")
-        assert "can't decode byte 0xff" in err and err.count("\n") == 1
-
-    @pytest.mark.parametrize("argv", README_ARGVS, ids=[" ".join(a[:2]) for a in README_ARGVS])
-    def test_config_report_matches_flags(self, capsys, tmp_path, argv):
-        start = next(i for i, a in enumerate(argv) if a.startswith("--"))
-        head, flags = argv[:start], dict(zip(argv[start::2], argv[start + 1::2]))
-        fmt = ["--format", flags.pop("--format")] if "--format" in flags else []
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{f[2:].replace('-', '_')} = {v}\n" for f, v in flags.items()))
-        code, from_flags, _ = run_capture(capsys, argv)
-        assert code == 0
-        code, from_config, err = run_capture(capsys, [*head, "--config", str(cfg), *fmt])
-        assert (code, err) == (0, "")
-        assert from_config == from_flags
-
-    def test_malformed_line_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("time_s 1\n")
-        code, _, _ = run_capture(capsys, ["thermal", "length", "--config", str(cfg)])
-        assert code == 2
 
 
 class TestTripartiteEdgeCases:

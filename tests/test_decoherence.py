@@ -176,6 +176,8 @@ class TestBuildCorrelatedState:
         )
         with pytest.raises(NormalizationError, match="1.118"):
             build_correlated_state(spec)
+        with pytest.raises(NormalizationError, match="norm nan, expected 1"):
+            build_correlated_state(equal_overlap_spec([math.nan, 0.5], 0.0))
 
     def test_overflowing_norm_refused_without_a_warning(self):
         # |c|^2 summed over the branches overflows; under filterwarnings = error

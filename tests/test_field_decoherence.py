@@ -54,6 +54,8 @@ class TestDecoherenceFactor:
     def test_negative_volume_rejected(self):
         with pytest.raises(ValueError):
             decoherence_factor(-1.0, 1.0)
+        with pytest.raises(ValueError, match="^volume must be nonnegative$"):
+            decoherence_exponent(math.nan, 1.0)
 
     def test_monotone_in_volume_and_field(self):
         v = threshold_volume(1e-9)
@@ -125,6 +127,8 @@ class TestCoherenceLength:
             coherence_length(si_efield_v_per_cm(0.0))
         with pytest.raises(ValueError):
             coherence_length(FIELD_1E7, threshold_exponent=0.0)
+        with pytest.raises(ValueError, match="^threshold exponent must be positive$"):
+            coherence_length(FIELD_1E7, threshold_exponent=math.nan)
 
 
 class TestValidityTime:
@@ -176,10 +180,14 @@ class TestThermalCoherenceLength:
             thermal_coherence_length(0.0)
         with pytest.raises(ValueError):
             thermal_coherence_length(-1.0)
+        with pytest.raises(ValueError, match="^time must be positive$"):
+            thermal_coherence_length(math.nan)
 
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError):
             ThermalModel(localization_rate=0.0)
+        with pytest.raises(ValueError, match="^localization rate must be positive$"):
+            ThermalModel(localization_rate=math.nan)
 
 
 class TestOutOfRange:

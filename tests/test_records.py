@@ -168,8 +168,16 @@ REFUSALS = [
     (lambda: ThermalModel(0.0), "localization rate must be positive"),
 ]
 
+# NaN fails every comparison, so each check is written to fail on it
+NAN_REFUSALS = [
+    (lambda: DephasingCurve([0.0], [math.nan], [0.0]), "coherence values must lie in [0, 1]"),
+    (lambda: DephasingCurve([0.0], [1.0], [math.nan]), "entropy values must lie in [0, ln 2]"),
+    (lambda: ThermalModel(math.nan), "localization rate must be positive"),
+]
 
-@pytest.mark.parametrize("build,message", REFUSALS, ids=[m for _, m in REFUSALS])
+
+@pytest.mark.parametrize("build,message", REFUSALS + NAN_REFUSALS,
+                         ids=[m for _, m in REFUSALS] + [f"nan: {m}" for _, m in NAN_REFUSALS])
 def test_validating_records_refuse_with_their_message(build, message):
     with pytest.raises(ValueError) as refused:
         build()
