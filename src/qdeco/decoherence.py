@@ -96,7 +96,8 @@ def equal_overlap_spec(coefficients, overlap: float) -> CorrelatedStateSpec:
     L L^T = Gram, taken from its eigendecomposition; they exist exactly when
     that matrix is positive semidefinite, for -1/(n - 1) <= s <= 1.  A spec whose
     (system, apparatus) dimension n^2 exceeds the dense bound is refused on the
-    branch count, before the Gram matrix is formed.
+    branch count, and a NaN or infinite overlap is refused, before the Gram
+    matrix is formed.
     """
     coeffs = np.asarray(coefficients, dtype=np.complex128)
     overlap = float(overlap)
@@ -104,9 +105,10 @@ def equal_overlap_spec(coefficients, overlap: float) -> CorrelatedStateSpec:
     if n < 2:
         raise ValueError("need at least two branches to discuss interference")
     _check_reduced_dim(n * n)
-    gram = (1.0 - overlap) * np.eye(n) + overlap * np.ones((n, n))
-    w, vecs = np.linalg.eigh(gram)
-    if float(np.min(w)) < -1e-12:
+    if math.isfinite(overlap):
+        gram = (1.0 - overlap) * np.eye(n) + overlap * np.ones((n, n))
+        w, vecs = np.linalg.eigh(gram)
+    if not math.isfinite(overlap) or float(np.min(w)) < -1e-12:
         raise ValueError(
             f"overlap {overlap} does not define a valid environment family for {n} branches"
         )

@@ -78,6 +78,8 @@ def _field_magnitude(efield, quantity: str) -> float:
     it keeps fewer significant digits than the twelve a report prints.
     """
     e_field = abs(to_natural(efield, ELECTRIC_FIELD))
+    if math.isnan(e_field):
+        raise ValueError("electric field is not a number")
     if not math.isfinite(e_field):
         raise ValueError("electric field overflows double precision")
     if e_field < sys.float_info.min:
@@ -93,6 +95,8 @@ def decoherence_exponent(volume, efield) -> float:
     e_field = to_natural(efield, ELECTRIC_FIELD)
     if not v >= 0:
         raise ValueError("volume must be nonnegative")
+    if math.isnan(e_field):
+        raise ValueError("electric field is not a number")
     c = CONSTANTS
     numerator = v * c.e**2 * _square(e_field)
     return _ratio("decoherence exponent", numerator, _SUPPRESSION_DENOMINATOR * c.m_electron)

@@ -2,8 +2,8 @@
 
 Every argv is derived from the module constants, not written out by hand, so
 when a bound moves its frontier moves with it.  ``test_cli.py`` runs the cheap
-ones in process; the CI step "Frontier inputs" runs every one as a subprocess
-and logs its exit code, wall time and peak RSS.
+ones in process; ``python bench/ci.py frontier`` runs every one as a
+subprocess and logs its exit code, wall time and peak RSS.
 """
 
 import math

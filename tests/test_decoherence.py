@@ -503,7 +503,11 @@ class TestEqualOverlapSpec:
             equal_overlap_spec([1.0], 0.2)
         assert str(exc.value) == "need at least two branches to discuss interference"
 
-    @pytest.mark.parametrize("n,overlap", [(4, -0.9), (2, -1.001), (3, -0.5 - 1e-6), (5, 1.001)])
+    @pytest.mark.parametrize(
+        "n,overlap",
+        [(4, -0.9), (2, -1.001), (3, -0.5 - 1e-6), (5, 1.001),
+         (2, math.nan), (3, math.inf), (3, -math.inf)],
+    )
     def test_refuses_overlaps_outside_the_family(self, n, overlap):
         with pytest.raises(ValueError) as exc:
             equal_overlap_spec(np.full(n, n**-0.5), overlap)

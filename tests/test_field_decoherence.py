@@ -244,6 +244,20 @@ class TestOutOfRange:
         with pytest.raises(ValueError, match="diverges for zero field$"):
             compute(si_efield_v_per_cm(0.0))
 
+    @pytest.mark.parametrize(
+        "compute",
+        [coherence_length, validity_time,
+         pytest.param(lambda efield: decoherence_exponent(1.0, efield), id="decoherence_exponent"),
+         pytest.param(lambda efield: decoherence_factor(1.0, efield), id="decoherence_factor")],
+    )
+    def test_nan_field_is_refused_as_not_a_number(self, compute):
+        with pytest.raises(ValueError, match="^electric field is not a number$"):
+            compute(si_efield_v_per_cm(math.nan))
+        with pytest.raises(ValueError, match="overflows double precision$"):
+            compute(si_efield_v_per_cm(math.inf))
+        with pytest.raises(ValueError, match="overflows double precision$"):
+            compute(si_efield_v_per_cm(-math.inf))
+
     @pytest.mark.parametrize("compute", [coherence_length, validity_time])
     def test_subnormal_field_is_refused(self, compute):
         # a subnormal number of MeV^2 keeps fewer digits than a report prints
