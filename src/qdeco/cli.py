@@ -375,14 +375,8 @@ def _run_lattice_superselect(v: dict):
     report = superselection_report(
         spec, sector_state(decomp, q_plus), sector_state(decomp, q_minus)
     )
-    outputs = {
-        "physical_dim": report.physical_dim,
-        "sectors": {str(q): size for q, size in decomp.sector_sizes().items()},
-        "n_operators": report.n_operators,
-        "max_cross": report.max_cross,
-        "max_expectation_diff": report.max_expectation_diff,
-        "sector_plus": report.sector_plus,
-        "sector_minus": report.sector_minus,
+    outputs = report._asdict() | {
+        "sectors": decomp.sector_sizes(),
         "wilson_contrast_cross": string_contrast(decomp),
     }
     return outputs, None

@@ -334,9 +334,12 @@ def spin_bath_evolve(model: SpinBathModel, times) -> DephasingCurve:
 def binary_entropy(p):
     """h(p) = -p ln p - (1-p) ln(1-p) in nats, and 0 for p outside (0, 1).
 
-    A scalar gives a ``float``; an array gives an array of the same shape.
+    A scalar gives a ``float``; an array gives an array of the same shape.  A
+    NaN, which lies neither inside nor outside, is refused; +-inf give 0.
     """
     p_arr = np.asarray(p, dtype=np.float64)
+    if np.isnan(p_arr).any():
+        raise ValueError("probability is not a number")
     inside = (p_arr > 0.0) & (p_arr < 1.0)
     q = np.where(inside, p_arr, 0.5)
     h = np.where(inside, -q * np.log(q) - (1.0 - q) * np.log(1.0 - q), 0.0)

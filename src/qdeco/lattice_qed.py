@@ -38,11 +38,15 @@ Every index map is a view of one index grid, the flat indices reshaped to the
 factor dimensions (the C-order layout): the interior/exterior table is the
 grid with the interior factors transposed first, and the string maps the grid
 cut short by one value on each raised factor to the same cut one value up.
+``_factor_of`` is the one place where labels meet factors: it gives each
+("site", x) and ("link", x) its factor in that layout, and interiors and the
+string's raised factors are read from it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from collections.abc import Collection
 from functools import lru_cache
@@ -88,6 +92,9 @@ class LatticeSpec(namedtuple("LatticeSpec", "sites e_max left_field")):
     __slots__ = ()
 
     def __new__(cls, sites, e_max, left_field=0):
+        params = (sites, e_max, left_field)
+        if not all(isinstance(v, numbers.Integral) for v in params):
+            raise ValueError(f"sites, e_max and left_field must be integers: {params}")
         if sites < 1:
             raise ValueError("need at least one site")
         if e_max < 1:
@@ -304,6 +311,16 @@ def total_charge_diagonal(spec: LatticeSpec) -> np.ndarray:
     return _config_table(spec).fields[:, -1] - spec.left_field
 
 
+def _factor_of(spec: LatticeSpec) -> dict[FactorLabel, int]:
+    """The tensor factor of each ("site", x) and ("link", x), x = 1..N.
+
+    Site charges come first, then link fields: the C-order layout of
+    :attr:`LatticeSpec.layout`.
+    """
+    labels = [(kind, x) for kind in ("site", "link") for x in range(1, spec.sites + 1)]
+    return {label: f for f, label in enumerate(labels)}
+
+
 def _index_grid(spec: LatticeSpec) -> np.ndarray:
     """Flat configuration indices laid out on the factor dimensions (C order)."""
     return np.arange(spec.flat_dim).reshape(spec.layout.dims)
@@ -319,8 +336,8 @@ def _wilson_map(spec: LatticeSpec, x: int) -> tuple[np.ndarray, np.ndarray]:
     left out of ``src``; ``src`` is ascending.
     """
     spec._check_site(x)
-    # charge q_x is factor x - 1 and field E_y factor N + y - 1
-    raised = [x - 1] + [spec.sites + y - 1 for y in range(x, spec.sites + 1)]
+    factor_of = _factor_of(spec)
+    raised = [factor_of["site", x]] + [factor_of["link", y] for y in range(x, spec.sites + 1)]
     grid = _index_grid(spec)
     lower = [slice(None)] * grid.ndim
     upper = list(lower)
@@ -367,28 +384,25 @@ def string_contrast(decomp: SectorDecomposition) -> float:
 
 def maximal_interior(spec: LatticeSpec) -> frozenset[FactorLabel]:
     """All sites and all links except the boundary link N."""
-    labels = {("site", x) for x in range(1, spec.sites + 1)}
-    labels |= {("link", x) for x in range(1, spec.sites)}
-    return frozenset(labels)
+    return frozenset(_factor_of(spec)) - {("link", spec.sites)}
 
 
 def _interior_factors(spec: LatticeSpec, interior: Collection[FactorLabel]) -> list[int]:
-    factors = []
+    """The sorted factors of an interior's labels, read from :func:`_factor_of`.
+
+    Refused in this order: the boundary link, a label that names no factor
+    (labels are compared, not hashed, so a list is unknown, not a TypeError),
+    and an empty interior.
+    """
+    factor_of = _factor_of(spec)
+    if ("link", spec.sites) in interior:
+        raise ValueError("interior must not contain the boundary link")
     for label in interior:
-        kind, x = label
-        if kind == "site":
-            spec._check_site(x)
-            factors.append(x - 1)
-        elif kind == "link":
-            if x == spec.sites:
-                raise ValueError("interior must not contain the boundary link")
-            spec._check_site(x)
-            factors.append(spec.sites + x - 1)
-        else:
+        if label not in list(factor_of):
             raise ValueError(f"unknown factor label {label!r}")
-    if not factors:
+    if not interior:
         raise ValueError("interior must not be empty")
-    return sorted(set(factors))
+    return sorted({factor_of[label] for label in interior})
 
 
 def _support_table(spec: LatticeSpec, factors: list[int]) -> tuple[np.ndarray, ...]:
@@ -558,6 +572,8 @@ def charge_phase_action(
     so a superposition of charges +-1 picks up the relative phase exp(2i theta)
     while every interior expectation stays untouched.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"phase angle theta must be finite, got {theta!r}")
     subspace = decomp.subspace
     if state.dim != subspace.spec.flat_dim:
         raise ValueError("state dimension does not match the lattice")

@@ -8,6 +8,11 @@ The V/m -> MeV^2 factor is derived along two independent routes (the eV
 definition chain and the Schwinger critical field); they agree to 3.4e-9, the
 precision of the nine-digit critical field, and the first is frozen into
 :data:`CONSTANTS`.
+
+The ``si_*`` constructors are records: they tag a magnitude and refuse
+nothing, NaN and +-inf included.  The field functions of
+:mod:`qdeco.field_decoherence` that take these quantities refuse a NaN or
+infinite field.
 """
 
 from __future__ import annotations

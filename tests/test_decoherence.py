@@ -743,6 +743,10 @@ class TestEntropyCurve:
     def test_extremes(self):
         assert binary_entropy(0.5) == pytest.approx(math.log(2.0))
         assert binary_entropy(0.0) == 0.0
+        assert binary_entropy(math.inf) == binary_entropy(-math.inf) == 0.0
+        for p in (math.nan, np.array([0.3, math.nan])):
+            with pytest.raises(ValueError, match=r"^probability is not a number$"):
+                binary_entropy(p)
         # |r| = 1 -> S = 0; |r| = 0 -> S = ln 2
         curve = DephasingCurve(
             times=np.array([0.0, 1.0]),

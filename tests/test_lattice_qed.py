@@ -32,6 +32,7 @@ from qdeco.lattice_qed import (
     _basis_elements,
     _commutant_basis,
     _config_table,
+    _factor_of,
     _support_table,
     _wilson_map,
 )
@@ -496,13 +497,28 @@ class TestGaugeInvariantLocalBasis:
             (set(), "interior must not be empty"),
             ({("site", 1), ("plaquette", 1)}, "unknown factor label ('plaquette', 1)"),
             ({("site", 1), ("link", 2)}, "interior must not contain the boundary link"),
+            ({("site", 3)}, "unknown factor label ('site', 3)"),
+            ({("link", 0)}, "unknown factor label ('link', 0)"),
+            ([["site", 1]], "unknown factor label ['site', 1]"),
+            ({("link", 2), ("plaquette", 1)}, "interior must not contain the boundary link"),
         ],
-        ids=["empty", "unknown-label", "boundary-link"],
+        ids=["empty", "unknown-label", "boundary-link", "site-out-of-range", "link-zero",
+             "list-label", "boundary-link-before-unknown"],
     )
     def test_refusal_messages(self, interior, message):
         spec = LatticeSpec(sites=2, e_max=1)
         with pytest.raises(ValueError, match=re.escape(message)):
             gauge_invariant_local_basis(spec, interior)
+
+    @pytest.mark.parametrize("sites,e_max", [(1, 1), (2, 1), (3, 2), (4, 1)])
+    def test_factor_of_covers_the_layout_once(self, sites, e_max):
+        spec = LatticeSpec(sites, e_max)
+        factor_of = _factor_of(spec)
+        assert sorted(factor_of.values()) == list(range(2 * sites))
+        for (kind, x), f in factor_of.items():
+            assert 1 <= x <= sites
+            assert spec.layout.dims[f] == {"site": 3, "link": 2 * e_max + 1}[kind]
+
 
 class TestSuperselectionReport:
     def test_clean_report_two_sites(self):
@@ -668,6 +684,11 @@ class TestChargePhaseAction:
         amps /= np.linalg.norm(amps)
         with pytest.raises(ValueError):
             charge_phase_action(self.decomp, StateVector(self.spec.layout, amps), 1.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angle(self, theta):
+        with pytest.raises(ValueError, match=rf"^phase angle theta must be finite, got {theta}$"):
+            charge_phase_action(self.decomp, self.super_state, theta)
 
 
 class TestInteriorExpectations:

@@ -160,6 +160,8 @@ REFUSALS = [
     (lambda: LatticeSpec(0, 1), "need at least one site"),
     (lambda: LatticeSpec(1, 0), "field truncation must be >= 1"),
     (lambda: LatticeSpec(1, 1, -2), "left boundary field -2 outside truncation [-1, 1]"),
+    (lambda: LatticeSpec(2, 1, 0.5), "sites, e_max and left_field must be integers: (2, 1, 0.5)"),
+    (lambda: LatticeSpec(2.0, 1), "sites, e_max and left_field must be integers: (2.0, 1, 0)"),
     (lambda: GaugeFunction([0.0, math.inf]), "gauge function values must be finite"),
     (lambda: GaugeFunction([0.0], asymptotic_value=math.nan),
      "gauge function values must be finite"),
@@ -173,6 +175,7 @@ NAN_REFUSALS = [
     (lambda: DephasingCurve([0.0], [math.nan], [0.0]), "coherence values must lie in [0, 1]"),
     (lambda: DephasingCurve([0.0], [1.0], [math.nan]), "entropy values must lie in [0, ln 2]"),
     (lambda: ThermalModel(math.nan), "localization rate must be positive"),
+    (lambda: LatticeSpec(math.nan, 1), "sites, e_max and left_field must be integers: (nan, 1, 0)"),
 ]
 
 
