@@ -10,6 +10,7 @@ the sum over bath energies can be checked against a closed form at every time.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 
 from ._numpy import np
@@ -19,7 +20,6 @@ from .hilbert import (
     NormalizationError,
     StateVector,
     TensorLayout,
-    basis_state,
     density_spectrum,
     spectrum_entropy,
 )
@@ -50,22 +50,17 @@ _PHASE_BLOCK = 2**14  # (time, energy) entries per block of the bath phase table
 _PHASE_ENTRY_BOUND = 150_000_000
 
 
-def _check_consistent(states: list[StateVector], label: str) -> int:
-    dims = {s.dim for s in states}
-    if len(dims) != 1:
-        raise ValueError(f"{label} states have inconsistent dimensions {sorted(dims)}")
-    return dims.pop()
-
-
 class CorrelatedStateSpec(namedtuple(
     "CorrelatedStateSpec", "coefficients system_states apparatus_states environment_states"
 )):
     """Branch data for a correlated state sum_n c_n phi_n (x) Phi_n (x) env_n.
 
-    The three state fields are lists of :class:`StateVector`.  Environment
-    states need not be orthogonal; the spec is only required to describe a
-    normalized total state, which :func:`build_correlated_state` checks on the
-    state it builds.
+    Each party is given as n states, :class:`StateVector`s or 1-D amplitude
+    vectors (the rows of a matrix, say), and is kept as one (n, dim) complex
+    matrix whose row k is branch k's state.  Every value must be finite.
+    Environment states need not be orthogonal; the spec is only required to
+    describe a normalized total state, which :func:`build_correlated_state`
+    checks on the state it builds.
     """
 
     __slots__ = ()
@@ -75,17 +70,26 @@ class CorrelatedStateSpec(namedtuple(
         n = len(c)
         if n < 1:
             raise ValueError("need at least one branch")
-        for label, states in (
-            ("system", system_states),
-            ("apparatus", apparatus_states),
-            ("environment", environment_states),
-        ):
+        parties = []
+        for label, states in zip(("system", "apparatus", "environment"),
+                                 (system_states, apparatus_states, environment_states)):
             if len(states) != n:
                 raise ValueError(
                     f"{label} list length {len(states)} does not match {n} coefficients"
                 )
-            _check_consistent(states, label)
-        return super().__new__(cls, c, system_states, apparatus_states, environment_states)
+            rows = [getattr(state, "amplitudes", state) for state in states]
+            dims = sorted({len(row) for row in rows})
+            if len(dims) != 1:
+                raise ValueError(f"{label} states have inconsistent dimensions {dims}")
+            matrix = np.array(rows, dtype=np.complex128)
+            if matrix.ndim != 2:
+                raise ValueError(f"{label} states must be 1-D, got shape {matrix.shape[1:]}")
+            parties.append(matrix)
+        spec = super().__new__(cls, c, *parties)
+        for name, values in zip(cls._fields, spec):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+        return spec
 
 
 def equal_overlap_spec(coefficients, overlap: float) -> CorrelatedStateSpec:
@@ -113,14 +117,7 @@ def equal_overlap_spec(coefficients, overlap: float) -> CorrelatedStateSpec:
             f"overlap {overlap} does not define a valid environment family for {n} branches"
         )
     factor = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    layout = TensorLayout((n,))
-    branches = [basis_state(n, i) for i in range(n)]
-    return CorrelatedStateSpec(
-        coefficients=coeffs,
-        system_states=branches,
-        apparatus_states=branches,
-        environment_states=[StateVector(layout, row) for row in factor],
-    )
+    return CorrelatedStateSpec(coeffs, np.eye(n), np.eye(n), factor)
 
 
 def _check_reduced_dim(dim: int):
@@ -146,22 +143,21 @@ def build_correlated_state(spec: CorrelatedStateSpec) -> StateVector:
     c_n phi_n[s] Phi_n[a] on it, an n x |support| matrix, are transposed and
     multiplied by the n x dim_E matrix of environments, and the rows are
     scattered into the zero (dim_S dim_A) x dim_E state.  For n branches
-    |n n> that is n rows of the n^2.  A state whose (system, apparatus)
-    dimension exceeds the bound of :func:`reduce_to_apparatus` is refused
-    before any branch data is stacked.
+    |n n> that is n rows of the n^2.  The three (n, dim) branch matrices
+    are the spec's fields, stacked when the spec was built.  A state whose
+    (system, apparatus) dimension exceeds the bound of
+    :func:`reduce_to_apparatus` is refused before the zero n^3-amplitude
+    state of n branches |n n> is allocated.
     Raises :class:`NormalizationError` when the state built from the branch
     data does not have unit norm; non-orthogonal branches are accepted but
     never silently renormalized.
     """
-    _check_reduced_dim(spec.system_states[0].dim * spec.apparatus_states[0].dim)
-    system, apparatus, environment = (
-        np.stack([s.amplitudes for s in states])
-        for states in (spec.system_states, spec.apparatus_states, spec.environment_states)
-    )
+    c, system, apparatus, environment = spec
     dim_s, dim_a, dim_e = system.shape[1], apparatus.shape[1], environment.shape[1]
+    _check_reduced_dim(dim_s * dim_a)
     support = np.flatnonzero((system != 0).T @ (apparatus != 0))
     s, a = np.divmod(support, dim_a)
-    rows = (spec.coefficients[:, None] * system[:, s] * apparatus[:, a]).T @ environment
+    rows = (c[:, None] * system[:, s] * apparatus[:, a]).T @ environment
     with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
         norm = float(np.linalg.norm(rows))
     if not abs(norm**2 - 1.0) <= NORM_TOL:
@@ -201,11 +197,14 @@ def reduce_to_apparatus(psi: StateVector) -> DensityMatrix:
 
 
 def environment_overlap(spec: CorrelatedStateSpec, n: int, m: int) -> complex:
-    """Inner product <env_n|env_m> (conjugation on the first argument)."""
+    """Inner product <env_n|env_m> of two rows of the environment matrix.
+
+    Conjugation is on the first argument; both indices must be integers.
+    """
     n_branches = len(spec.coefficients)
-    if not (0 <= n < n_branches and 0 <= m < n_branches):
+    if not all(isinstance(i, numbers.Integral) and 0 <= i < n_branches for i in (n, m)):
         raise ValueError(f"branch indices ({n}, {m}) out of range for {n_branches} branches")
-    return spec.environment_states[n].overlap(spec.environment_states[m])
+    return complex(np.vdot(spec.environment_states[n], spec.environment_states[m]))
 
 
 class SpinBathModel(namedtuple("SpinBathModel", "bath_size couplings")):

@@ -11,6 +11,7 @@ keeps the spectrum that validated it; reduced states come from
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 
 from ._numpy import np
@@ -49,6 +50,8 @@ class TensorLayout(namedtuple("TensorLayout", "dims")):
     __slots__ = ()
 
     def __new__(cls, dims):
+        if not all(float(d).is_integer() for d in dims):
+            raise ValueError(f"dimensions must be whole numbers, got {dims}")
         checked = tuple(int(d) for d in dims)
         if not checked or any(d < 1 for d in checked):
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
@@ -97,12 +100,6 @@ class StateVector(namedtuple("StateVector", "layout amplitudes")):
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product with conjugation on self."""
-        if self.dim != other.dim:
-            raise ValueError("states live in different dimensions")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 class Operator(namedtuple("Operator", "layout entries")):
@@ -209,7 +206,7 @@ class DensityMatrix(namedtuple("DensityMatrix", "layout block support spectrum")
 
 def basis_state(dim: int, index: int) -> StateVector:
     """Single-factor computational basis state |index> of the given dimension."""
-    if not 0 <= index < dim:
+    if not (isinstance(index, numbers.Integral) and 0 <= index < dim):
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0

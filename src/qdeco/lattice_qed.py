@@ -136,7 +136,7 @@ class LatticeSpec(namedtuple("LatticeSpec", "sites e_max left_field")):
         return TensorLayout((3,) * self.sites + (self.link_dim,) * self.sites)
 
     def _check_site(self, x: int):
-        if not 1 <= x <= self.sites:
+        if not (isinstance(x, numbers.Integral) and 1 <= x <= self.sites):
             raise ValueError(f"site/link index {x} out of range 1..{self.sites}")
 
 

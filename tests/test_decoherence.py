@@ -176,8 +176,9 @@ class TestBuildCorrelatedState:
         )
         with pytest.raises(NormalizationError, match="1.118"):
             build_correlated_state(spec)
-        with pytest.raises(NormalizationError, match="norm nan, expected 1"):
-            build_correlated_state(equal_overlap_spec([math.nan, 0.5], 0.0))
+        # a NaN coefficient is refused by the record, before any state is built
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            equal_overlap_spec([math.nan, 0.5], 0.0)
 
     def test_overflowing_norm_refused_without_a_warning(self):
         # |c|^2 summed over the branches overflows; under filterwarnings = error
@@ -187,6 +188,23 @@ class TestBuildCorrelatedState:
 
     def test_matches_kron_oracle(self):
         assert_matches_kron_oracle(*_random_branches())
+
+    def test_state_lists_and_matrices_give_one_spec(self):
+        coeffs, factors = _random_branches()
+        coeffs = np.asarray(coeffs) / np.linalg.norm(brute_correlated_state(coeffs, *factors))
+        from_states = CorrelatedStateSpec(
+            coeffs, *[[StateVector(TensorLayout((len(a),)), a) for a in f] for f in factors]
+        )
+        from_matrices = CorrelatedStateSpec(coeffs, *[np.stack(f) for f in factors])
+        for field, dim in zip(from_states._fields[1:], (2, 3, 4)):
+            for spec in (from_states, from_matrices):
+                assert getattr(spec, field).dtype == np.complex128
+                assert getattr(spec, field).shape == (3, dim)
+            np.testing.assert_array_equal(
+                getattr(from_states, field), getattr(from_matrices, field))
+        built = [build_correlated_state(spec) for spec in (from_states, from_matrices)]
+        assert built[0].layout == built[1].layout
+        assert built[0].amplitudes.tobytes() == built[1].amplitudes.tobytes()
 
     @pytest.mark.parametrize("case", sorted(SPARSE_KRON_CASES))
     def test_matches_kron_oracle_on_sparse_specs(self, case):
@@ -287,7 +305,7 @@ class TestReduceToApparatus:
         rng = np.random.default_rng(71)
         for _ in range(5):
             c = random_state(rng, 3)
-            envs = [StateVector(TensorLayout((4,)), random_state(rng, 4)) for _ in range(3)]
+            envs = [random_state(rng, 4) for _ in range(3)]
             spec = orthonormal_spec(c, envs)
             rho = reduce_to_apparatus(build_correlated_state(spec))
             for n in range(3):
@@ -295,7 +313,7 @@ class TestReduceToApparatus:
                     if n == m:
                         continue
                     block = rho.entries[n * 3 + n, m * 3 + m]
-                    expected = abs(c[n]) * abs(c[m]) * abs(envs[n].overlap(envs[m]))
+                    expected = abs(c[n]) * abs(c[m]) * abs(np.vdot(envs[n], envs[m]))
                     assert abs(abs(block) - expected) <= 1e-12
 
     def test_requires_three_factors(self):
@@ -459,7 +477,7 @@ class TestEnvironmentOverlap:
             env_a = tensor_product(env_a, StateVector(TensorLayout((2,)), fa))
             env_b = tensor_product(env_b, StateVector(TensorLayout((2,)), fb))
         per_factor = np.prod([np.vdot(fa, fb) for fa, fb in zip(factors_a, factors_b)])
-        assert abs(env_a.overlap(env_b) - per_factor) <= 1e-12
+        assert abs(np.vdot(env_a.amplitudes, env_b.amplitudes) - per_factor) <= 1e-12
 
     def test_conjugation_on_first_argument(self):
         spec = orthonormal_spec(
@@ -473,12 +491,15 @@ class TestEnvironmentOverlap:
         spec = orthonormal_spec([1.0, 0.0], env_pair_with_overlap(0.3))
         with pytest.raises(ValueError):
             environment_overlap(spec, 0, 2)
+        message = r"^branch indices \(0\.5, 1\) out of range for 2 branches$"
+        with pytest.raises(ValueError, match=message):
+            environment_overlap(spec, 0.5, 1)
 
 
 class TestEqualOverlapSpec:
     @staticmethod
     def gram(spec) -> np.ndarray:
-        envs = np.stack([e.amplitudes for e in spec.environment_states])
+        envs = spec.environment_states
         return envs.conj() @ envs.T
 
     @pytest.mark.parametrize("n", [2, 3, 20, 28])
@@ -492,7 +513,8 @@ class TestEqualOverlapSpec:
         spec = equal_overlap_spec([0.6, 0.8j, 0.0], 0.2)
         np.testing.assert_array_equal(spec.coefficients, [0.6, 0.8j, 0.0])
         for states in (spec.system_states, spec.apparatus_states):
-            np.testing.assert_array_equal(np.stack([b.amplitudes for b in states]), np.eye(3))
+            assert states.dtype == np.complex128
+            np.testing.assert_array_equal(states, np.eye(3))
 
     def test_coherence_is_the_overlap(self):
         rho = reduce_to_apparatus(build_correlated_state(equal_overlap_spec([0.6, 0.8], 0.3)))

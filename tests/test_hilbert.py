@@ -59,13 +59,11 @@ class TestTensorLayout:
 
 
 class TestStateRefusals:
-    def test_overlap_across_dimensions(self):
-        with pytest.raises(ValueError, match=r"^states live in different dimensions$"):
-            basis_state(2, 0).overlap(basis_state(3, 0))
-
     def test_basis_index_out_of_range(self):
         with pytest.raises(ValueError, match=r"^basis index 2 out of range for dimension 2$"):
             basis_state(2, 2)
+        with pytest.raises(ValueError, match=r"^basis index 1\.5 out of range for dimension 2$"):
+            basis_state(2, 1.5)
 
 
 class TestTensorProduct:

@@ -126,6 +126,8 @@ class TestGaussOperator:
             gauss_diagonal(LatticeSpec(sites=2, e_max=1), 3)
         with pytest.raises(ValueError):
             gauss_diagonal(LatticeSpec(sites=2, e_max=1), 0)
+        with pytest.raises(ValueError, match=r"^site/link index 1\.5 out of range 1\.\.2$"):
+            gauss_diagonal(LatticeSpec(sites=2, e_max=1), 1.5)
 
     @pytest.mark.parametrize("left", [-1, 0, 1])
     @pytest.mark.parametrize("sites,e_max", [(1, 1), (2, 1), (2, 2), (3, 1)])
@@ -365,7 +367,7 @@ class TestWilsonLine:
         # [Q, W] = W on the non-clipped subspace (clipped columns are zero anyway)
         assert np.max(np.abs(q @ w - w @ q - w)) <= 1e-12
 
-    @pytest.mark.parametrize("x", [0, 3])
+    @pytest.mark.parametrize("x", [0, 3, 1.5])
     def test_site_out_of_range(self, x):
         with pytest.raises(ValueError, match=rf"^site/link index {x} out of range 1\.\.2$"):
             wilson_line(LatticeSpec(sites=2, e_max=1), x)
@@ -539,7 +541,7 @@ class TestSuperselectionReport:
         decomp = charge_sectors(sub)
         psi_plus = sector_basis_state(spec, sub, decomp, 1)
         psi_minus = sector_basis_state(spec, sub, decomp, -1)
-        assert abs(psi_plus.overlap(psi_minus)) == 0.0
+        assert np.vdot(psi_plus.amplitudes, psi_minus.amplitudes) == 0.0
 
     def test_same_sector_flagged(self):
         spec = LatticeSpec(sites=2, e_max=1)

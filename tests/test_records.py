@@ -133,6 +133,7 @@ def _state(dim: int) -> StateVector:
 REFUSALS = [
     (lambda: TensorLayout((2, 0)), "all dimensions must be >= 1, got (2, 0)"),
     (lambda: TensorLayout(()), "all dimensions must be >= 1, got ()"),
+    (lambda: TensorLayout((2.5,)), "dimensions must be whole numbers, got (2.5,)"),
     (lambda: StateVector(QUBIT, [1.0, 0.0, 0.0]),
      "amplitude length 3 does not match layout dimension 2"),
     (lambda: StateVector(QUBIT, [[1.0]]), "amplitudes must be one-dimensional, got shape (1, 1)"),
@@ -150,6 +151,9 @@ REFUSALS = [
     (lambda: CorrelatedStateSpec([0.6, 0.8], [_state(2)] * 2, [_state(2), _state(3)],
                                  [_state(2)] * 2),
      "apparatus states have inconsistent dimensions [2, 3]"),
+    (lambda: CorrelatedStateSpec([1.0], [np.eye(2)], [[1.0]], [[1.0]]),
+     "system states must be 1-D, got shape (2, 2)"),
+    (lambda: equal_overlap_spec([math.inf, 0.8], 0.3), "coefficients must be finite"),
     (lambda: SpinBathModel(0, []), "bath_size must be >= 1"),
     (lambda: SpinBathModel(2, [1.0]), "need 2 couplings, got 1"),
     (lambda: SpinBathModel(1, [math.nan]), "couplings must be finite"),
@@ -176,6 +180,10 @@ NAN_REFUSALS = [
     (lambda: DephasingCurve([0.0], [1.0], [math.nan]), "entropy values must lie in [0, ln 2]"),
     (lambda: ThermalModel(math.nan), "localization rate must be positive"),
     (lambda: LatticeSpec(math.nan, 1), "sites, e_max and left_field must be integers: (nan, 1, 0)"),
+    (lambda: TensorLayout((math.nan,)), "dimensions must be whole numbers, got (nan,)"),
+    (lambda: equal_overlap_spec([math.nan, 0.8], 0.3), "coefficients must be finite"),
+    (lambda: CorrelatedStateSpec([1.0], [[1.0]], [[1.0]], [[math.nan, 0.0]]),
+     "environment_states must be finite"),
 ]
 
 
